@@ -3,8 +3,9 @@
 // The acceptance bar for the execution subsystem is a >= 2x speedup on 4
 // threads for a 10k-record two-server PIR batch read versus the serial
 // path, with bit-identical answers (the determinism suite asserts the
-// equality; this file measures the speed). Also covered: the sharded
-// single-answer kernel, MDAV distance scans, and the service batch path.
+// equality; this file measures the speed). Also covered: the batched
+// answer kernel on its own, the tiled single-answer kernel, MDAV distance
+// scans, and the service batch path.
 //
 // All benchmarks use wall-clock time (UseRealTime): the work happens on
 // pool workers, so the default main-thread CPU accounting would report
@@ -68,6 +69,42 @@ void BM_TwoServerPirBatchRead(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_TwoServerPirBatchRead)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// The batched kernel under BM_TwoServerPirBatchRead: 64 pre-drawn
+/// selections answered by ONE XorPirServer::ComputeBatch pass per replica
+/// (32 per replica, 2 replicas), tiled across the pool. Throughput in
+/// selections/s; non-gating.
+void BM_XorPirAnswerBatch(benchmark::State& state) {
+  const size_t threads = static_cast<size_t>(state.range(0));
+  auto records = MakeRecords(kPirRecords, kPirRecordSize);
+  auto a = XorPirServer::Create(records);
+  auto b = XorPirServer::Create(records);
+  Rng rng(10);
+  std::vector<std::vector<uint8_t>> selections(kBatchSize);
+  for (auto& selection : selections) {
+    selection = RandomSelectionBits(kPirRecords, &rng);
+  }
+  std::vector<ReplicaSelections> batch = {{&*a, {}}, {&*b, {}}};
+  for (size_t i = 0; i < kBatchSize; ++i) {
+    batch[i % 2].selections.push_back(&selections[i]);
+  }
+  ThreadPool pool(threads);
+  for (auto _ : state) {
+    auto answers = XorPirServer::ComputeBatch(batch, &pool);
+    benchmark::DoNotOptimize(answers);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kBatchSize));
+  state.counters["threads"] = static_cast<double>(threads);
+}
+BENCHMARK(BM_XorPirAnswerBatch)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)

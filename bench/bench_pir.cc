@@ -34,7 +34,7 @@ void BM_PlaintextRead(benchmark::State& state) {
   Rng rng(7);
   for (auto _ : state) {
     const size_t idx = static_cast<size_t>(rng.UniformU64(n));
-    benchmark::DoNotOptimize(server->record(idx));
+    benchmark::DoNotOptimize(server->record_bytes(idx).data());
   }
   state.counters["upload_bits"] = 0;
 }

@@ -179,6 +179,11 @@ Result<ServiceMetrics> ServiceMetrics::Create(MetricsRegistry* registry,
                               "Bytes XORed by PIR servers answering queries",
                               {{"dimension", "user"}}));
   TRIPRIV_ASSIGN_OR_RETURN(
+      metrics.pir_bytes_streamed_,
+      registry->RegisterGauge(
+          "tripriv_pir_bytes_streamed",
+          "Replica storage bytes PIR servers streamed, one pass per batch"));
+  TRIPRIV_ASSIGN_OR_RETURN(
       metrics.pir_failovers_,
       registry->RegisterGauge("tripriv_pir_failover_replays",
                               "PIR queries replayed on a fallback server pair",

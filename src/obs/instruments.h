@@ -167,9 +167,11 @@ class ServiceMetrics {
                        breaker_probes_[i]->Set(
                            static_cast<double>(half_open_probes));)
   void PublishPir(uint64_t bytes_xored, uint64_t failovers,
-                  uint64_t corrupt_answers, uint64_t queries_answered)
+                  uint64_t corrupt_answers, uint64_t queries_answered,
+                  uint64_t bytes_streamed)
       TRIPRIV_OBS_BODY(
           pir_bytes_xored_->Set(static_cast<double>(bytes_xored));
+          pir_bytes_streamed_->Set(static_cast<double>(bytes_streamed));
           pir_failovers_->Set(static_cast<double>(failovers));
           pir_corrupt_->Set(static_cast<double>(corrupt_answers));
           pir_queries_->Set(static_cast<double>(queries_answered));)
@@ -249,6 +251,7 @@ class ServiceMetrics {
   Gauge* breaker_rejections_[2] = {nullptr, nullptr};
   Gauge* breaker_probes_[2] = {nullptr, nullptr};
   Gauge* pir_bytes_xored_ = nullptr;
+  Gauge* pir_bytes_streamed_ = nullptr;
   Gauge* pir_failovers_ = nullptr;
   Gauge* pir_corrupt_ = nullptr;
   Gauge* pir_queries_ = nullptr;

@@ -43,31 +43,27 @@ Result<EpochPirReader::Replicas*> EpochPirReader::ReplicasFor(
   for (Replicas& entry : cache_) {
     if (entry.epoch == epoch) return &entry;
   }
-  auto records = SnapshotRecords(pinned->protected_table);
+  // The flat pair's second replica is a copy of the first: the records are
+  // laid out, and preprocessed, once per epoch. Recursive mode keeps one
+  // replica, aliased 2^d times at read time, plus the epoch's hypercube
+  // geometry (the row count may change per epoch).
+  const auto records = SnapshotRecords(pinned->protected_table);
+  TRIPRIV_ASSIGN_OR_RETURN(XorPirServer replica, XorPirServer::Create(records));
+  if (options_.preprocess) {
+    // Per-epoch preprocessing: the parity layout is rendered with the
+    // replicas and evicted with them — the flip IS the invalidation.
+    replica.Preprocess();
+  }
   Replicas built;
   built.epoch = epoch;
   if (options_.dimensions <= 1) {
-    TRIPRIV_ASSIGN_OR_RETURN(XorPirServer a, XorPirServer::Create(records));
-    TRIPRIV_ASSIGN_OR_RETURN(XorPirServer b,
-                             XorPirServer::Create(std::move(records)));
-    built.a = std::make_unique<XorPirServer>(std::move(a));
-    built.b = std::make_unique<XorPirServer>(std::move(b));
+    built.b = std::make_unique<XorPirServer>(replica);
   } else {
-    // Recursive mode: one replica, aliased 2^d times at read time, plus
-    // the epoch's hypercube geometry (the row count may change per epoch).
     TRIPRIV_ASSIGN_OR_RETURN(
         built.geometry,
         HypercubeGeometry::Balanced(records.size(), options_.dimensions));
-    TRIPRIV_ASSIGN_OR_RETURN(XorPirServer a,
-                             XorPirServer::Create(std::move(records)));
-    built.a = std::make_unique<XorPirServer>(std::move(a));
   }
-  if (options_.preprocess) {
-    // Per-epoch preprocessing: the parity layout is rendered alongside the
-    // replicas and evicted with them — the flip IS the invalidation.
-    built.a->Preprocess();
-    if (built.b != nullptr) built.b->Preprocess();
-  }
+  built.a = std::make_unique<XorPirServer>(std::move(replica));
   // A newly rendered epoch means any session scratch sized for an older
   // epoch's table is stale: drop it before the first read of this epoch.
   sessions_.InvalidateBefore(epoch);
@@ -78,20 +74,30 @@ Result<EpochPirReader::Replicas*> EpochPirReader::ReplicasFor(
   return &cache_.back();
 }
 
+uint64_t EpochPirReader::StreamedBy(const Replicas& replicas) {
+  return replicas.a->bytes_streamed() +
+         (replicas.b != nullptr ? replicas.b->bytes_streamed() : 0);
+}
+
 Result<std::vector<uint8_t>> EpochPirReader::Read(size_t index, Rng* rng) {
   PinnedEpoch pinned = manager_->Pin();
   TRIPRIV_ASSIGN_OR_RETURN(Replicas * replicas, ReplicasFor(pinned));
   last_served_epoch_ = pinned->epoch;
+  const uint64_t streamed = StreamedBy(*replicas);
+  Result<std::vector<uint8_t>> answer = Status::Internal("not read");
   if (options_.dimensions <= 1) {
-    return TwoServerPirRead(replicas->a.get(), replicas->b.get(), index, rng,
-                            &stats_);
+    answer = TwoServerPirRead(replicas->a.get(), replicas->b.get(), index,
+                              rng, &stats_);
+  } else {
+    PirSessionRegistry::Session* session = sessions_.Establish(
+        options_.tenant_class, replicas->geometry, replicas->epoch);
+    const std::vector<XorPirServer*> servers(
+        replicas->geometry.num_servers(), replicas->a.get());
+    answer = RecursivePirRead(servers, replicas->geometry, index, rng,
+                              /*pool=*/nullptr, &stats_, session);
   }
-  PirSessionRegistry::Session* session = sessions_.Establish(
-      options_.tenant_class, replicas->geometry, replicas->epoch);
-  const std::vector<XorPirServer*> servers(replicas->geometry.num_servers(),
-                                           replicas->a.get());
-  return RecursivePirRead(servers, replicas->geometry, index, rng,
-                          /*pool=*/nullptr, &stats_, session);
+  bytes_streamed_ += StreamedBy(*replicas) - streamed;
+  return answer;
 }
 
 Result<std::vector<std::vector<uint8_t>>> EpochPirReader::ReadBatch(
@@ -101,16 +107,22 @@ Result<std::vector<std::vector<uint8_t>>> EpochPirReader::ReadBatch(
   PinnedEpoch pinned = manager_->Pin();
   TRIPRIV_ASSIGN_OR_RETURN(Replicas * replicas, ReplicasFor(pinned));
   last_served_epoch_ = pinned->epoch;
+  const uint64_t streamed = StreamedBy(*replicas);
+  Result<std::vector<std::vector<uint8_t>>> answers =
+      Status::Internal("not read");
   if (options_.dimensions <= 1) {
-    return TwoServerPirBatchRead(replicas->a.get(), replicas->b.get(), indices,
-                                 rng, pool, &stats_);
+    answers = TwoServerPirBatchRead(replicas->a.get(), replicas->b.get(),
+                                    indices, rng, pool, &stats_);
+  } else {
+    PirSessionRegistry::Session* session = sessions_.Establish(
+        options_.tenant_class, replicas->geometry, replicas->epoch);
+    const std::vector<XorPirServer*> servers(
+        replicas->geometry.num_servers(), replicas->a.get());
+    answers = RecursivePirBatchRead(servers, replicas->geometry, indices, rng,
+                                    pool, &stats_, session);
   }
-  PirSessionRegistry::Session* session = sessions_.Establish(
-      options_.tenant_class, replicas->geometry, replicas->epoch);
-  const std::vector<XorPirServer*> servers(replicas->geometry.num_servers(),
-                                           replicas->a.get());
-  return RecursivePirBatchRead(servers, replicas->geometry, indices, rng, pool,
-                               &stats_, session);
+  bytes_streamed_ += StreamedBy(*replicas) - streamed;
+  return answers;
 }
 
 }  // namespace tripriv

@@ -2,7 +2,6 @@
 
 #include "pir/xor_kernel.h"
 #include "util/checksum.h"
-#include "util/thread_pool.h"
 
 namespace tripriv {
 namespace {
@@ -58,13 +57,12 @@ Result<FailoverPirClient> FailoverPirClient::BuildRecursive(
   } else if (dimensions < 1) {
     return Status::InvalidArgument("hypercube dimension must be in [1, 8]");
   }
+  // Every replica is a copy of one rendered server: the records are laid
+  // out (and preprocessed) once.
+  TRIPRIV_ASSIGN_OR_RETURN(XorPirServer replica, XorPirServer::Create(stored));
+  if (preprocess) replica.Preprocess();
   const size_t total = client.group_size() * num_groups;
-  client.servers_.reserve(total);
-  for (size_t s = 0; s < total; ++s) {
-    TRIPRIV_ASSIGN_OR_RETURN(XorPirServer server, XorPirServer::Create(stored));
-    if (preprocess) server.Preprocess();
-    client.servers_.push_back(std::move(server));
-  }
+  client.servers_.assign(total, replica);
   client.faults_.resize(total);
   return client;
 }
@@ -72,21 +70,27 @@ Result<FailoverPirClient> FailoverPirClient::BuildRecursive(
 void FailoverPirClient::InjectFault(size_t server, const PirServerFault& fault) {
   TRIPRIV_CHECK_LT(server, faults_.size());
   faults_[server] = fault;
+  servers_[server].InjectComputeFault(
+      fault.diverged ? Status::Unavailable("PIR server diverged") : Status());
 }
 
 void FailoverPirClient::EnableObservationLogs(size_t capacity) {
   for (auto& server : servers_) server.EnableObservationLog(capacity);
 }
 
-Result<std::vector<uint8_t>> FailoverPirClient::VerifyReconstruction(
-    std::vector<uint8_t> rec, size_t group) {
+bool FailoverPirClient::ChecksumHolds(const std::vector<uint8_t>& rec) const {
   // rec is (payload | checksum); verify before trusting it.
   TRIPRIV_CHECK_EQ(rec.size(), payload_size_ + 8);
   uint64_t stored_sum = 0;
   for (int i = 0; i < 8; ++i) {
     stored_sum |= static_cast<uint64_t>(rec[payload_size_ + i]) << (8 * i);
   }
-  if (Fnv1a64(rec.data(), payload_size_) != stored_sum) {
+  return Fnv1a64(rec.data(), payload_size_) == stored_sum;
+}
+
+Result<std::vector<uint8_t>> FailoverPirClient::VerifyReconstruction(
+    std::vector<uint8_t> rec, size_t group) {
+  if (!ChecksumHolds(rec)) {
     ++corrupt_detected_;
     return Status::Unavailable("PIR group " + std::to_string(group) +
                                " returned a corrupt reconstruction");
@@ -197,10 +201,9 @@ std::vector<Result<std::vector<uint8_t>>> FailoverPirClient::ReadBatch(
     ThreadPool* pool, uint8_t tenant_class) {
   if (dimensions_ > 1) {
     // Recursive groups: items run serially in index order (the exact rng
-    // transcript of a Read loop) and the pool instead shards each
-    // replica's XOR sweep inside the answer — expansion state and the
-    // session scratch never cross threads, and one session serves the
-    // whole batch.
+    // transcript of a Read loop) and the pool instead tiles each replica's
+    // XOR pass inside the answer — expansion state and the session scratch
+    // never cross threads, and one session serves the whole batch.
     std::vector<Result<std::vector<uint8_t>>> results;
     results.reserve(indices.size());
     for (size_t index : indices) {
@@ -218,8 +221,7 @@ std::vector<Result<std::vector<uint8_t>>> FailoverPirClient::ReadBatch(
     std::vector<uint8_t> sel_b;
     bool corrupt[2] = {false, false};
     size_t corrupt_byte[2] = {0, 0};
-    bool verified = false;  ///< stage-2 verdict: checksum held
-    std::vector<uint8_t> payload;
+    size_t slot[2] = {0, 0};  ///< position in each side's pass
   };
 
   const size_t count = indices.size();
@@ -266,58 +268,61 @@ std::vector<Result<std::vector<uint8_t>>> FailoverPirClient::ReadBatch(
     at.fast_path = true;
   }
 
-  // Stage 2 (parallel): pure reconstruction + checksum verification into
-  // per-item slots. No rng, no counters, no shared mutation.
-  auto run_attempt = [this, stored_size, &attempts](size_t i) {
-    BatchAttempt& at = attempts[i];
-    if (!at.fast_path) return;
-    const size_t a = 2 * at.pair;
-    const size_t b = a + 1;
-    auto ans_a = servers_[a].ComputeAnswer(at.sel_a);
-    auto ans_b = servers_[b].ComputeAnswer(at.sel_b);
-    TRIPRIV_CHECK(ans_a.ok() && ans_b.ok());
+  // Stage 2 (pure compute): one pass per server answers every fast-path
+  // selection aimed at it, tiled across `pool`. Servers no item reached
+  // make no pass. No rng, no counters, no shared mutation inside the pool;
+  // a replica's failure comes back as its typed result.
+  std::vector<ReplicaSelections> batch;
+  std::vector<size_t> entry_of(servers_.size(), servers_.size());
+  for (BatchAttempt& at : attempts) {
+    if (!at.fast_path) continue;
     for (size_t side = 0; side < 2; ++side) {
-      if (!at.corrupt[side]) continue;
-      auto& ans = (side == 0) ? *ans_a : *ans_b;
-      ans[at.corrupt_byte[side]] ^= 0x5A;
+      const size_t s = 2 * at.pair + side;
+      if (entry_of[s] == servers_.size()) {
+        entry_of[s] = batch.size();
+        batch.push_back({&servers_[s], {}});
+      }
+      auto& selections = batch[entry_of[s]].selections;
+      at.slot[side] = selections.size();
+      selections.push_back(side == 0 ? &at.sel_a : &at.sel_b);
     }
-    std::vector<uint8_t> rec = std::move(ans_a).value();
-    XorBytesInto(rec.data(), ans_b->data(), rec.size());
-    TRIPRIV_CHECK_EQ(rec.size(), stored_size);
-    uint64_t stored_sum = 0;
-    for (int k = 0; k < 8; ++k) {
-      stored_sum |= static_cast<uint64_t>(rec[payload_size_ + k]) << (8 * k);
+  }
+  std::vector<ReplicaAnswers> passes = XorPirServer::ComputeBatch(batch, pool);
+  for (size_t s = 0; s < servers_.size(); ++s) {
+    if (entry_of[s] != servers_.size() && passes[entry_of[s]].ok()) {
+      servers_[s].ObservePass();
     }
-    if (Fnv1a64(rec.data(), payload_size_) != stored_sum) return;
-    rec.resize(payload_size_);
-    at.payload = std::move(rec);
-    at.verified = true;
-  };
-  if (pool == nullptr || pool->num_threads() <= 1 || count <= 1) {
-    for (size_t i = 0; i < count; ++i) run_attempt(i);
-  } else {
-    pool->ParallelFor(count, [&run_attempt](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) run_attempt(i);
-    });
   }
 
-  // Stage 3 (serial, index order): publish verdicts, update counters, and
-  // run the failure ladder for items whose fast-path attempt did not
-  // verify.
+  // Stage 3 (serial, index order): reconstruct and verify, publish
+  // verdicts, update counters, and run the failure ladder for items whose
+  // fast-path attempt did not verify.
   for (size_t i = 0; i < count; ++i) {
     BatchAttempt& at = attempts[i];
-    if (at.fast_path && at.verified) {
-      results[i] = std::move(at.payload);
-      continue;
-    }
     if (indices[i] >= num_records_ || expired) continue;  // already typed
     if (at.fast_path) {
-      // The reconstruction was rejected by the checksum — same accounting
-      // as the serial ReadFromPair path.
-      ++corrupt_detected_;
+      ReplicaAnswers& pass_a = passes[entry_of[2 * at.pair]];
+      const ReplicaAnswers& pass_b = passes[entry_of[2 * at.pair + 1]];
+      if (pass_a.ok() && pass_b.ok()) {
+        std::vector<uint8_t> rec = std::move((*pass_a)[at.slot[0]]);
+        const std::vector<uint8_t>& ans_b = (*pass_b)[at.slot[1]];
+        TRIPRIV_CHECK_EQ(rec.size(), stored_size);
+        if (at.corrupt[0]) rec[at.corrupt_byte[0]] ^= 0x5A;
+        XorBytesInto(rec.data(), ans_b.data(), rec.size());
+        if (at.corrupt[1]) rec[at.corrupt_byte[1]] ^= 0x5A;
+        if (ChecksumHolds(rec)) {
+          rec.resize(payload_size_);
+          results[i] = std::move(rec);
+          continue;
+        }
+        // Rejected by the checksum — same accounting as the serial
+        // ReadFromGroup path.
+        ++corrupt_detected_;
+      }
     }
-    // The attempt moved past its first-choice pair: charge a failover and
-    // backoff, then re-enter the serial retry ladder with fresh randomness.
+    // The attempt moved past its first-choice pair (crashed, failed to
+    // compute, or corrupt): charge a failover and backoff, then re-enter
+    // the serial retry ladder with fresh randomness.
     ++failovers_;
     clock_->Advance(retry_.BackoffTicks(0));
     results[i] = Read(indices[i], deadline);

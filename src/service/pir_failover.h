@@ -47,6 +47,9 @@ struct PirServerFault {
   bool crashed = false;
   /// P(an answer comes back with a flipped byte).
   double corrupt_rate = 0.0;
+  /// Diverged: every answer pass fails with kUnavailable (the replica
+  /// refuses to compute; see XorPirServer::InjectComputeFault).
+  bool diverged = false;
 };
 
 /// 2-server XOR PIR across `num_pairs` replicated pairs with checksum
@@ -84,13 +87,15 @@ class FailoverPirClient {
 
   /// Batched private reads with positional results. Pair assignment,
   /// selection randomness, observation logging, and fault draws all happen
-  /// serially in index order; only the pure XOR answer kernels and checksum
-  /// verification fan out across `pool` (null = inline). When no fault
-  /// fires, the rng transcript is identical to a serial Read loop. Items
-  /// whose fast-path attempt fails (crashed pair, corrupt reconstruction)
-  /// fall back to the serial Read retry ladder, again in index order, so
-  /// answers, counters, and server views are independent of the thread
-  /// count.
+  /// serially in index order; then ONE XorPirServer::ComputeBatch pass per
+  /// server answers every selection aimed at it, tiled across `pool`
+  /// (null = inline). When no fault fires, the rng transcript is identical
+  /// to a serial Read loop. Items whose fast-path attempt fails (crashed
+  /// pair, a replica failing its pass, corrupt reconstruction) fall back to
+  /// the serial Read retry ladder, again in index order, so answers,
+  /// counters, and server views are independent of the thread count.
+  /// Recursive groups run items serially through that ladder, each
+  /// replica's pass tiled across `pool`.
   std::vector<Result<std::vector<uint8_t>>> ReadBatch(
       const std::vector<size_t>& indices, const Deadline& deadline,
       ThreadPool* pool = nullptr, uint8_t tenant_class = 0);
@@ -128,6 +133,15 @@ class FailoverPirClient {
     for (const XorPirServer& server : servers_) total += server.bytes_xored();
     return total;
   }
+  /// Sum of bytes_streamed() across all physical servers: storage bytes
+  /// walked, one replica pass per batch (or per single read).
+  uint64_t total_bytes_streamed() const {
+    uint64_t total = 0;
+    for (const XorPirServer& server : servers_) {
+      total += server.bytes_streamed();
+    }
+    return total;
+  }
   /// Sum of queries_answered() across all physical servers.
   uint64_t total_queries_answered() const {
     uint64_t total = 0;
@@ -155,15 +169,17 @@ class FailoverPirClient {
 
   /// One read against group `group` (the 2-server scheme flat, the
   /// recursive scheme otherwise), with fault injection and checksum
-  /// verification. `pool` shards each replica's XOR sweep in recursive
+  /// verification. `pool` tiles each replica's XOR pass in recursive
   /// mode (unused flat — the batch path owns flat parallelism).
   Result<std::vector<uint8_t>> ReadFromGroup(size_t group, size_t index,
                                              uint8_t tenant_class,
                                              ThreadPool* pool);
-  /// Read with an explicit pool for the recursive per-replica sweeps.
+  /// Read with an explicit pool for the recursive per-replica passes.
   Result<std::vector<uint8_t>> ReadImpl(size_t index, const Deadline& deadline,
                                         uint8_t tenant_class,
                                         ThreadPool* pool);
+  /// True when a reconstruction's 8-byte suffix matches its payload.
+  bool ChecksumHolds(const std::vector<uint8_t>& rec) const;
   /// Strips and verifies the checksum suffix of a reconstruction; counts a
   /// failure as a detected-corrupt answer.
   Result<std::vector<uint8_t>> VerifyReconstruction(std::vector<uint8_t> rec,

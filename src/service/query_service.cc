@@ -530,7 +530,8 @@ void QueryService::PublishMetrics() {
   if (pir_ != nullptr) {
     metrics_->PublishPir(pir_->total_bytes_xored(), pir_->failovers(),
                          pir_->corrupt_answers_detected(),
-                         pir_->total_queries_answered());
+                         pir_->total_queries_answered(),
+                         pir_->total_bytes_streamed());
     metrics_->PublishPirTransport(pir_->sessions().total_upload_bits(),
                                   pir_->sessions().total_expanded_cells(),
                                   pir_->preprocess_bytes(),

@@ -299,6 +299,9 @@ TEST(InstrumentsTest, PublishCopiesComponentCountersIntoGauges) {
   EXPECT_DOUBLE_EQ(
       GaugeValue(snapshot, "tripriv_pir_queries_answered", user),
       static_cast<double>(pir->total_queries_answered()));
+  EXPECT_DOUBLE_EQ(GaugeValue(snapshot, "tripriv_pir_bytes_streamed"),
+                   static_cast<double>(pir->total_bytes_streamed()));
+  EXPECT_GT(GaugeValue(snapshot, "tripriv_pir_bytes_streamed"), 0.0);
   EXPECT_EQ(CounterValue(snapshot, "tripriv_pir_reads_total", user), 4u);
   const MetricSample* batch_size =
       Find(snapshot, "tripriv_pir_batch_size", user);
