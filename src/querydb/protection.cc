@@ -31,6 +31,34 @@ AuditPolicy::AuditPolicy(ProtectionMode mode, size_t min_query_set_size,
       min_query_set_size_(min_query_set_size),
       num_records_(num_records) {}
 
+namespace {
+
+/// |a △ b| for sorted ranges, counted by merging and stopped as soon as the
+/// count reaches `limit` (the return value is then >= limit). Pairs equal
+/// elements one to one, as std::set_symmetric_difference does.
+size_t SymmetricDifferenceUpTo(const std::vector<size_t>& a,
+                               const std::vector<size_t>& b, size_t limit) {
+  size_t i = 0;
+  size_t j = 0;
+  size_t count = 0;
+  while (i < a.size() && j < b.size() && count < limit) {
+    if (a[i] < b[j]) {
+      ++count;
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++count;
+      ++j;
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+  if (count < limit) count += (a.size() - i) + (b.size() - j);
+  return count;
+}
+
+}  // namespace
+
 std::optional<std::string> AuditPolicy::Check(
     const std::vector<size_t>& rows) const {
   if (mode_ != ProtectionMode::kQuerySetSize &&
@@ -49,12 +77,14 @@ std::optional<std::string> AuditPolicy::Check(
     // difference with a previously answered query set would isolate fewer
     // than t records — the pair would function as a difference attack.
     for (const auto& prev : answered_sets_) {
-      std::vector<size_t> sym;
-      std::set_symmetric_difference(rows.begin(), rows.end(), prev.begin(),
-                                    prev.end(), std::back_inserter(sym));
-      if (!sym.empty() && sym.size() < t) {
+      // |A △ B| >= ||A| - |B||, so a set t or more sizes away never refuses.
+      const size_t gap = rows.size() > prev.size() ? rows.size() - prev.size()
+                                                   : prev.size() - rows.size();
+      if (gap >= t) continue;
+      const size_t sym = SymmetricDifferenceUpTo(rows, prev, t);
+      if (sym != 0 && sym < t) {
         return "audit: overlap with an answered query isolates " +
-               std::to_string(sym.size()) + " record(s)";
+               std::to_string(sym) + " record(s)";
       }
     }
   }
@@ -75,23 +105,26 @@ StatDatabase::StatDatabase(DataTable data, ProtectionConfig config)
 Result<ProtectedAnswer> StatDatabase::Query(const StatQuery& query) {
   log_.push_back(query);
   TRIPRIV_ASSIGN_OR_RETURN(auto rows, query.where.MatchingRows(data_));
-
-  ProtectedAnswer answer;
   if (auto reason = policy_.Check(rows)) {
+    ProtectedAnswer answer;
     answer.refused = true;
     answer.refusal_reason = *reason;
     return answer;
   }
-  TRIPRIV_ASSIGN_OR_RETURN(QueryAnswer exact, ExecuteQuery(data_, query));
+  TRIPRIV_ASSIGN_OR_RETURN(QueryAnswer exact, AggregateRows(data_, query, rows));
+  policy_.RecordAnswered(rows);
+  return Protect(query, rows, exact);
+}
 
+Result<ProtectedAnswer> StatDatabase::Protect(const StatQuery& query,
+                                              const std::vector<size_t>& rows,
+                                              const QueryAnswer& exact) {
+  ProtectedAnswer answer;
   switch (config_.mode) {
     case ProtectionMode::kNone:
     case ProtectionMode::kQuerySetSize:
-      answer.value = exact.value;
-      break;
     case ProtectionMode::kAudit:
       answer.value = exact.value;
-      policy_.RecordAnswered(std::move(rows));
       break;
     case ProtectionMode::kOutputNoise: {
       // Noise scale anchored to the aggregated attribute's dispersion (for
@@ -148,7 +181,7 @@ Result<ProtectedAnswer> StatDatabase::Query(const StatQuery& query) {
         StatQuery sum_query = query;
         sum_query.fn = AggregateFn::kSum;
         TRIPRIV_ASSIGN_OR_RETURN(QueryAnswer exact_sum,
-                                 ExecuteQuery(data_, sum_query));
+                                 AggregateRows(data_, sum_query, rows));
         const double noisy_sum =
             exact_sum.value + rng_.Laplace(0.0, sensitivity / half_eps);
         const double noisy_count =

@@ -66,7 +66,11 @@ class AuditPolicy {
               size_t num_records);
 
   /// Refusal reason for the sorted query set `rows`, or nullopt when the
-  /// policy admits it. Pure: does not record anything.
+  /// policy admits it. Pure: does not record anything. The overlap check
+  /// walks the answered sets in answer order and refuses at the first one
+  /// whose symmetric difference with `rows` is non-empty and below t; sets
+  /// whose size differs from |rows| by t or more are skipped unread, and a
+  /// merge count stops once it reaches t.
   std::optional<std::string> Check(const std::vector<size_t>& rows) const;
 
   /// Commits `rows` (sorted) for future overlap checks. Only kAudit keeps
@@ -102,11 +106,22 @@ class StatDatabase {
  public:
   StatDatabase(DataTable data, ProtectionConfig config);
 
-  /// Answers (or refuses) `query`; the query is logged either way.
+  /// Answers (or refuses) `query`; the query is logged either way. Matches
+  /// the query set, runs the policy, then Protect.
   Result<ProtectedAnswer> Query(const StatQuery& query);
 
   /// Parses and answers a SQL-ish query string.
   Result<ProtectedAnswer> Query(std::string_view sql);
+
+  /// Applies the protection mode to `exact`, the exact answer to `query`
+  /// over its query set `rows`. Neither logs nor runs the policy: callers
+  /// that own both (QueryService) answer from a query set they already
+  /// have. COUNT answers read only `rows`; the noise, camouflage and DP
+  /// modes of other aggregates also read the aggregated column once to
+  /// scale their noise.
+  Result<ProtectedAnswer> Protect(const StatQuery& query,
+                                  const std::vector<size_t>& rows,
+                                  const QueryAnswer& exact);
 
   /// The owner's complete view of user activity. Its existence is the
   /// user-privacy failure the paper attributes to query control.

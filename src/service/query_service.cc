@@ -92,6 +92,12 @@ Result<QueryService> QueryService::Create(DataTable data,
   TRIPRIV_ASSIGN_OR_RETURN(WalRecoveryResult recovered,
                            AuditWal::Recover(wal_io));
   QueryService service(std::move(data), std::move(config), wal_io);
+  // Only kAudit journals query sets. An admitted decision without one was
+  // written by a service that did not audit overlap; with t > 0 no admitted
+  // set is empty, so recovering it would leave the overlap check blind.
+  const bool audits_overlap =
+      service.config_.protection.mode == ProtectionMode::kAudit &&
+      service.config_.protection.min_query_set_size > 0;
   for (const WalRecord& record : recovered.records) {
     if (record.query_id >= service.next_query_id_) {
       service.next_query_id_ = record.query_id + 1;
@@ -99,8 +105,14 @@ Result<QueryService> QueryService::Create(DataTable data,
     switch (record.type) {
       case WalRecordType::kDecision:
         if (record.decision == WalDecision::kAdmitted) {
-          std::vector<size_t> rows(record.rows.begin(), record.rows.end());
-          service.policy_.RecordAnswered(std::move(rows));
+          if (audits_overlap && record.rows.empty()) {
+            return Status::FailedPrecondition(
+                "audit WAL: admitted query " + std::to_string(record.query_id) +
+                " carries no query set; the log was written without overlap "
+                "auditing");
+          }
+          service.policy_.RecordAnswered(
+              std::vector<size_t>(record.rows.begin(), record.rows.end()));
         }
         break;
       case WalRecordType::kEpsilonSpend:
@@ -186,7 +198,7 @@ ServiceAnswer QueryService::SubmitPreparedImpl(const StatQuery& query,
     // Malformed query: no query set exists, so no audit decision to log.
     return Refuse(query_id, prepared.rows.status());
   }
-  std::vector<size_t> rows = std::move(prepared.rows).value();
+  const std::vector<size_t>& rows = *prepared.rows;
   const uint64_t fingerprint = prepared.fingerprint;
   const uint64_t policy_span = BeginSpan(span_ids_.policy, submit_span, query_id);
   const std::optional<std::string> refusal_reason = policy_.Check(rows);
@@ -199,7 +211,11 @@ ServiceAnswer QueryService::SubmitPreparedImpl(const StatQuery& query,
   decision.query_fingerprint = fingerprint;
   decision.decision = refusal_reason ? WalDecision::kPolicyRefused
                                      : WalDecision::kAdmitted;
-  if (!refusal_reason) decision.rows.assign(rows.begin(), rows.end());
+  // Only overlap auditing reads query sets back (on recovery); every other
+  // mode journals the decision alone.
+  if (!refusal_reason && policy_.mode() == ProtectionMode::kAudit) {
+    decision.rows.assign(rows.begin(), rows.end());
+  }
   const uint64_t wal_span = BeginSpan(span_ids_.wal_append, submit_span, query_id);
   Status logged = wal_.Append(decision);
   FinishSpan(wal_span, logged.code());
@@ -208,12 +224,13 @@ ServiceAnswer QueryService::SubmitPreparedImpl(const StatQuery& query,
     metrics_->OnWalAppend(logged.ok() ? wal_.last_append_bytes() : 0,
                           logged.ok());
   }
-  if (!refusal_reason) {
+  if (!refusal_reason && policy_.mode() == ProtectionMode::kAudit) {
     // In-memory audit state records the admission even when the WAL write
     // failed: the overlap check must see this set for the rest of this
     // process lifetime regardless, and the un-logged answer is simply never
-    // released (below). Fail closed, both in memory and on disk.
-    policy_.RecordAnswered(std::move(rows));
+    // released (below). Fail closed, both in memory and on disk. Only kAudit
+    // keeps the set, so only kAudit pays for the copy.
+    policy_.RecordAnswered(rows);
   }
   if (refusal_reason) {
     ++stats_.policy_refusals;
@@ -246,7 +263,7 @@ ServiceAnswer QueryService::SubmitPreparedImpl(const StatQuery& query,
 
   // --- Primary path: exact answer under the configured protection.
   const uint64_t primary_span = BeginSpan(span_ids_.primary, submit_span, query_id);
-  auto primary = TryPrimary(query, deadline);
+  auto primary = TryPrimary(query, rows, deadline);
   FinishSpan(primary_span, primary.status().code());
   if (primary.ok()) {
     if (primary->refused) {
@@ -283,7 +300,7 @@ ServiceAnswer QueryService::SubmitPreparedImpl(const StatQuery& query,
     ++stats_.degraded_attempts;
     const uint64_t degraded_span =
         BeginSpan(span_ids_.degraded, submit_span, query_id);
-    ServiceAnswer degraded = TryDegraded(query, query_id);
+    ServiceAnswer degraded = TryDegraded(query, rows, query_id, fingerprint);
     FinishSpan(degraded_span, degraded.tier == AnswerTier::kRefused
                                   ? degraded.refusal.code()
                                   : StatusCode::kOk);
@@ -292,8 +309,9 @@ ServiceAnswer QueryService::SubmitPreparedImpl(const StatQuery& query,
   return Refuse(query_id, primary.status());
 }
 
-Result<ProtectedAnswer> QueryService::TryPrimary(const StatQuery& query,
-                                                 const Deadline& deadline) {
+Result<ProtectedAnswer> QueryService::TryPrimary(
+    const StatQuery& query, const std::vector<size_t>& rows,
+    const Deadline& deadline) {
   const RetryPolicy retry =
       config_.retry.Truncated(deadline.remaining_ticks(*clock_));
   const size_t max_attempts = retry.max_attempts < 1 ? 1 : retry.max_attempts;
@@ -319,22 +337,23 @@ Result<ProtectedAnswer> QueryService::TryPrimary(const StatQuery& query,
       clock_->Advance(retry.BackoffTicks(attempt));
       continue;
     }
-    // Deadline-aware evaluation charges the scan cost to the clock and
-    // fails typed when the budget runs out mid-scan.
-    auto evaluated = ExecuteQuery(backend_.data(), query, clock_.get(), deadline);
-    if (!evaluated.ok()) {
-      if (evaluated.status().code() == StatusCode::kDeadlineExceeded) {
+    // The query set came from Prepare's scan. This stage charges that
+    // scan's cost to the clock, fails typed when the budget ran out
+    // mid-scan, and otherwise aggregates over the query set alone.
+    auto exact = AggregateRows(backend_.data(), query, rows, clock_.get(),
+                               deadline);
+    if (!exact.ok()) {
+      if (exact.status().code() == StatusCode::kDeadlineExceeded) {
         // The request's budget, not the backend's health: no breaker
         // penalty, and retrying cannot help.
-        return evaluated.status();
+        return exact.status();
       }
       // The backend responded; the query itself is bad (permanent).
       primary_breaker_->RecordSuccess();
-      return evaluated.status();
+      return exact.status();
     }
-    auto answer = backend_.Query(query);
+    auto answer = backend_.Protect(query, rows, *exact);
     primary_breaker_->RecordSuccess();
-    if (!answer.ok()) return answer.status();
     return answer;
   }
   return Status::Unavailable("primary path failed after " +
@@ -373,7 +392,9 @@ Status QueryService::ChargeEpsilon(uint64_t query_id, uint64_t fingerprint,
 }
 
 ServiceAnswer QueryService::TryDegraded(const StatQuery& query,
-                                        uint64_t query_id) {
+                                        const std::vector<size_t>& rows,
+                                        uint64_t query_id,
+                                        uint64_t fingerprint) {
   if (!dp_breaker_->AllowRequest()) {
     return Refuse(query_id,
                   Status::Unavailable("degraded-path circuit breaker is open"));
@@ -389,14 +410,16 @@ ServiceAnswer QueryService::TryDegraded(const StatQuery& query,
     return Refuse(query_id, Status::PermissionDenied(
                                 "degraded-path privacy budget exhausted"));
   }
-  auto answer = dp_db_.Query(query);
+  auto exact = AggregateRows(dp_db_.data(), query, rows);
+  auto answer = exact.ok() ? dp_db_.Protect(query, rows, *exact)
+                           : Result<ProtectedAnswer>(exact.status());
   dp_breaker_->RecordSuccess();
   if (!answer.ok()) return Refuse(query_id, answer.status());
   if (answer->refused) {
     // NOLINTNEXTLINE(taint-flow-to-sink): policy-generated text
     return Refuse(query_id, Status::PermissionDenied(answer->refusal_reason));
   }
-  Status charged = ChargeEpsilon(query_id, QueryFingerprint(query));
+  Status charged = ChargeEpsilon(query_id, fingerprint);
   if (!charged.ok()) return Refuse(query_id, std::move(charged));
   if (fault_rng_.Bernoulli(config_.faults.crash_mid_answer_rate)) {
     crashed_ = true;

@@ -12,18 +12,21 @@
 // policy would have refused.
 //
 // Request path (Submit):
-//   1. policy stage — the query set is computed and the AuditPolicy
-//      consulted FIRST, before admission control or deadline checks, and
-//      the decision is recorded in the in-memory audit state and the
-//      crash-recoverable AuditWal. Running the policy unconditionally makes
+//   1. policy stage — the query set (computed once, by Prepare's scan) is
+//      checked against the AuditPolicy FIRST, before admission control or
+//      deadline checks, and the decision is recorded in the in-memory audit
+//      state and the crash-recoverable AuditWal (which journals the query
+//      set itself only in kAudit, the one mode that reads it back on
+//      recovery). Running the policy unconditionally makes
 //      the audit-state evolution a deterministic function of the query
 //      sequence alone, identical in healthy and faulty runs — faults can
 //      only turn answers into refusals, never refusals into answers;
 //   2. admission control — a full virtual queue sheds the request with
 //      kResourceExhausted before any backend work;
-//   3. primary path — exact evaluation under the request Deadline (cost
-//      charged to the SimClock), guarded by a per-backend CircuitBreaker
-//      and retried under the RetryPolicy truncated to the deadline;
+//   3. primary path — exact aggregation over the prepared query set under
+//      the request Deadline (the scan's cost charged to the SimClock),
+//      guarded by a per-backend CircuitBreaker and retried under the
+//      RetryPolicy truncated to the deadline;
 //   4. degraded path — on a transient primary failure the service answers
 //      from an epsilon-DP Laplace backend instead (the one protection in
 //      this codebase that needs no query inspection), charging a durable
@@ -143,7 +146,10 @@ class QueryService {
  public:
   /// Builds a service over `data`, recovering audit state and epsilon
   /// spend from `wal_io` (which may hold a torn log from a crashed
-  /// predecessor). `wal_io` must outlive the service.
+  /// predecessor). `wal_io` must outlive the service. In kAudit mode with
+  /// t > 0, fails with kFailedPrecondition on a log holding an admitted
+  /// decision without its query set: such a log was written by a service
+  /// that did not audit overlap, and its answers would escape the check.
   static Result<QueryService> Create(DataTable data, QueryServiceConfig config,
                                      WalIo* wal_io);
 
@@ -156,9 +162,10 @@ class QueryService {
   ServiceAnswer Submit(const StatQuery& query, const Deadline& deadline);
 
   /// The pure, thread-safe prefix of Submit: evaluates the query predicate
-  /// against the backend table and fingerprints the query. Touches no
-  /// mutable service state, so a BatchExecutor may run it concurrently for
-  /// many queries.
+  /// against the backend table and fingerprints the query. This is the
+  /// only pass over the table a query gets; the rest of the ladder works
+  /// on the query set alone. Touches no mutable service state, so a
+  /// BatchExecutor may run it concurrently for many queries.
   PreparedQuery Prepare(const StatQuery& query) const;
 
   /// The stateful remainder of Submit, consuming a Prepare() result. NOT
@@ -266,11 +273,16 @@ class QueryService {
                                    PreparedQuery prepared,
                                    const Deadline& deadline,
                                    uint64_t submit_span);
-  /// The primary (exact, protected) path: breaker + retries + deadline.
+  /// The primary (exact, protected) path: breaker + retries + deadline,
+  /// answering from the prepared query set `rows`.
   Result<ProtectedAnswer> TryPrimary(const StatQuery& query,
+                                     const std::vector<size_t>& rows,
                                      const Deadline& deadline);
-  /// The degraded (epsilon-DP) path: breaker + budget + WAL spend record.
-  ServiceAnswer TryDegraded(const StatQuery& query, uint64_t query_id);
+  /// The degraded (epsilon-DP) path: breaker + budget + WAL spend record,
+  /// answering from the prepared query set `rows`.
+  ServiceAnswer TryDegraded(const StatQuery& query,
+                            const std::vector<size_t>& rows, uint64_t query_id,
+                            uint64_t fingerprint);
   /// Charges epsilon to the durable budget; OK only once the spend record
   /// is durable. `aggregate_path` only routes the spend to the right
   /// budget principal in the attached instruments.

@@ -1,5 +1,7 @@
 #include "table/predicate.h"
 
+#include <optional>
+
 namespace tripriv {
 
 const char* CompareOpToString(CompareOp op) {
@@ -56,8 +58,10 @@ Predicate Predicate::Not(Predicate inner) {
 
 namespace {
 
-/// Three-valued comparison result following SQL null semantics.
-Result<bool> EvalCompare(const Value& cell, CompareOp op, const Value& literal) {
+/// Comparison under SQL null semantics; nullopt when the operands are
+/// ill-typed (a number against a string).
+std::optional<bool> CompareCell(const Value& cell, CompareOp op,
+                                const Value& literal) {
   if (cell.is_null()) {
     // Suppressed cells match nothing except explicit inequality to a value.
     return op == CompareOp::kNe;
@@ -97,8 +101,12 @@ Result<bool> EvalCompare(const Value& cell, CompareOp op, const Value& literal) 
         return cmp >= 0;
     }
   }
-  // Neither operand may enter the message: the cell is record-level
-  // (and echoing the literal would confirm what it was compared against).
+  return std::nullopt;
+}
+
+/// Neither operand may enter the message: the cell is record-level (and
+/// echoing the literal would confirm what it was compared against).
+Status TypeMismatch() {
   return Status::InvalidArgument("type mismatch in comparison");
 }
 
@@ -110,7 +118,10 @@ Result<bool> Predicate::Matches(const DataTable& table, size_t row) const {
       return true;
     case Kind::kCompare: {
       TRIPRIV_ASSIGN_OR_RETURN(size_t col, table.schema().IndexOf(attribute_));
-      return EvalCompare(table.at(row, col), op_, literal_);
+      const std::optional<bool> match =
+          CompareCell(table.at(row, col), op_, literal_);
+      if (!match) return TypeMismatch();
+      return *match;
     }
     case Kind::kAnd: {
       TRIPRIV_ASSIGN_OR_RETURN(bool a, lhs_->Matches(table, row));
@@ -130,13 +141,87 @@ Result<bool> Predicate::Matches(const DataTable& table, size_t row) const {
   return Status::Internal("corrupt predicate kind");
 }
 
-Result<std::vector<size_t>> Predicate::MatchingRows(const DataTable& table) const {
-  std::vector<size_t> out;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    TRIPRIV_ASSIGN_OR_RETURN(bool match, Matches(table, r));
-    if (match) out.push_back(r);
+/// A predicate compiled for one MatchingRows scan: the tree flattened in
+/// pre-order (a node's left child is the next node), each comparison leaf
+/// carrying its column once resolved. A leaf resolves the first time it is
+/// evaluated, not up front, so an unknown attribute errors on exactly the
+/// row where a per-row Matches would, and not at all behind a short circuit
+/// or over an empty table.
+class PredicateScan {
+ public:
+  PredicateScan(const Predicate& root, const DataTable& table) : table_(table) {
+    Flatten(root);
   }
-  return out;
+
+  Result<std::vector<size_t>> Run() {
+    std::vector<size_t> out;
+    for (size_t r = 0; r < table_.num_rows(); ++r) {
+      const bool match = Eval(0, table_.row(r));
+      if (!error_.ok()) return std::move(error_);
+      if (match) out.push_back(r);
+    }
+    return out;
+  }
+
+ private:
+  static constexpr size_t kUnresolved = static_cast<size_t>(-1);
+
+  struct Node {
+    const Predicate* predicate;
+    size_t rhs = 0;            // pre-order index of the right child
+    size_t col = kUnresolved;  // comparison leaves only
+  };
+
+  void Flatten(const Predicate& p) {
+    const size_t self = nodes_.size();
+    nodes_.push_back(Node{&p});
+    if (p.lhs_) Flatten(*p.lhs_);
+    if (p.rhs_) {
+      nodes_[self].rhs = nodes_.size();
+      Flatten(*p.rhs_);
+    }
+  }
+
+  /// Evaluates node `i` on `row`. On failure sets error_ and returns false.
+  bool Eval(size_t i, const std::vector<Value>& row) {
+    Node& node = nodes_[i];
+    const Predicate& p = *node.predicate;
+    switch (p.kind_) {
+      case Predicate::Kind::kTrue:
+        return true;
+      case Predicate::Kind::kCompare: {
+        if (node.col == kUnresolved) {
+          Result<size_t> col = table_.schema().IndexOf(p.attribute_);
+          if (!col.ok()) {
+            error_ = col.status();
+            return false;
+          }
+          node.col = *col;
+        }
+        const std::optional<bool> match =
+            CompareCell(row[node.col], p.op_, p.literal_);
+        if (!match) error_ = TypeMismatch();
+        return match.value_or(false);
+      }
+      // A failed child returns false, so only OR and NOT re-check error_.
+      case Predicate::Kind::kAnd:
+        return Eval(i + 1, row) && Eval(node.rhs, row);
+      case Predicate::Kind::kOr:
+        return Eval(i + 1, row) || (error_.ok() && Eval(node.rhs, row));
+      case Predicate::Kind::kNot:
+        return !Eval(i + 1, row) && error_.ok();
+    }
+    error_ = Status::Internal("corrupt predicate kind");
+    return false;
+  }
+
+  const DataTable& table_;
+  std::vector<Node> nodes_;
+  Status error_;
+};
+
+Result<std::vector<size_t>> Predicate::MatchingRows(const DataTable& table) const {
+  return PredicateScan(*this, table).Run();
 }
 
 void Predicate::CollectAttributes(std::vector<std::string>* out) const {

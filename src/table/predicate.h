@@ -39,7 +39,10 @@ class Predicate {
   /// statistical-query workloads here.
   Result<bool> Matches(const DataTable& table, size_t row) const;
 
-  /// Indices of all rows of `table` satisfying the predicate.
+  /// Indices of all rows of `table` satisfying the predicate. One compiled
+  /// scan: each comparison leaf resolves its column the first time it is
+  /// evaluated and reuses it for every later row, so the result, including
+  /// the first error and which leaf raises it, equals a per-row Matches loop.
   Result<std::vector<size_t>> MatchingRows(const DataTable& table) const;
 
   /// Attribute names referenced by the predicate (with duplicates), in
@@ -63,6 +66,10 @@ class Predicate {
   std::shared_ptr<const Predicate> rhs_;
 
   void CollectAttributes(std::vector<std::string>* out) const;
+
+  /// The compiled form MatchingRows evaluates (predicate.cc). It lives on
+  /// the scan's stack, never in the Predicate, which batch workers share.
+  friend class PredicateScan;
 };
 
 }  // namespace tripriv

@@ -1,12 +1,18 @@
 // Tests for the protected statistical database and the tracker attack.
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "querydb/protection.h"
 #include "querydb/tracker.h"
 #include "table/datasets.h"
+#include "util/random.h"
 
 namespace tripriv {
 namespace {
@@ -202,6 +208,108 @@ TEST(TrackerTest, NoiseModeBlursTheInference) {
   // ...but the inferred value is off the true 146 (noise accumulates over
   // the 4 sum queries; exact agreement would be a miracle).
   EXPECT_GT(std::fabs(attack->inferred_sum - 146.0), 0.5);
+}
+
+// --- Overlap auditing vs a set_symmetric_difference reference -------------
+// AuditPolicy::Check skips answered sets more than t sizes away and counts
+// the symmetric difference by a merge that stops at t. The reference below
+// materializes every symmetric difference; decisions and messages must be
+// identical on every query of every sequence.
+
+std::optional<std::string> ReferenceAuditCheck(
+    const std::vector<std::vector<size_t>>& answered,
+    const std::vector<size_t>& rows, size_t t, size_t n) {
+  if (rows.size() < t) return "query set smaller than " + std::to_string(t);
+  if (rows.size() + t > n) return "query set larger than n - " + std::to_string(t);
+  for (const auto& prev : answered) {
+    std::vector<size_t> sym;
+    std::set_symmetric_difference(rows.begin(), rows.end(), prev.begin(),
+                                  prev.end(), std::back_inserter(sym));
+    if (!sym.empty() && sym.size() < t) {
+      return "audit: overlap with an answered query isolates " +
+             std::to_string(sym.size()) + " record(s)";
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<size_t> RandomSubset(Rng* rng, size_t n, size_t size) {
+  std::vector<size_t> rows = rng->SampleWithoutReplacement(n, size);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// `base` with `swaps` members exchanged for non-members: same size,
+/// symmetric difference 2 * swaps — the shape of a tracker's paired queries.
+std::vector<size_t> SwapMembers(Rng* rng, const std::vector<size_t>& base,
+                                size_t n, size_t swaps) {
+  std::vector<size_t> out = base;
+  std::vector<size_t> outside;
+  for (size_t r = 0; r < n; ++r) {
+    if (!std::binary_search(base.begin(), base.end(), r)) outside.push_back(r);
+  }
+  rng->Shuffle(&out);
+  rng->Shuffle(&outside);
+  for (size_t k = 0; k < swaps && k < out.size() && k < outside.size(); ++k) {
+    out[k] = outside[k];
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(AuditPolicyTest, OverlapCheckMatchesSymmetricDifferenceReference) {
+  const size_t n = 120;
+  Rng rng(0xA0D17);
+  size_t refusals = 0;
+  size_t overlap_refusals = 0;
+  size_t admits = 0;
+  for (size_t t : {0u, 1u, 2u, 3u, 5u, 8u, 13u}) {
+    for (int sequence = 0; sequence < 6; ++sequence) {
+      AuditPolicy policy(ProtectionMode::kAudit, t, n);
+      std::vector<std::vector<size_t>> answered;
+      std::vector<size_t> last;
+      for (int q = 0; q < 160; ++q) {
+        std::vector<size_t> rows;
+        const uint64_t shape = rng.UniformU64(5);
+        if (shape == 0 || last.empty()) {
+          rows = RandomSubset(&rng, n, rng.UniformU64(n + 1));
+        } else if (shape == 1) {
+          // Tracker pair: same size, a few members swapped.
+          rows = SwapMembers(&rng, last, n, rng.UniformU64(t + 2));
+        } else if (shape == 2) {
+          // One record added or removed.
+          rows = last;
+          const size_t r = rng.UniformU64(n);
+          auto it = std::lower_bound(rows.begin(), rows.end(), r);
+          if (it != rows.end() && *it == r) {
+            rows.erase(it);
+          } else {
+            rows.insert(it, r);
+          }
+        } else if (shape == 3) {
+          rows = last;  // an exact repeat: empty symmetric difference
+        } else {
+          rows = RandomSubset(&rng, n, n / 2 + rng.UniformU64(t + 1));
+        }
+        const auto want = ReferenceAuditCheck(answered, rows, t, n);
+        const auto got = policy.Check(rows);
+        ASSERT_EQ(got, want) << "t=" << t << " query " << q;
+        if (want) {
+          ++refusals;
+          if (want->rfind("audit:", 0) == 0) ++overlap_refusals;
+        } else {
+          ++admits;
+          policy.RecordAnswered(rows);
+          answered.push_back(rows);
+        }
+        last = rows;
+      }
+      ASSERT_EQ(policy.answered_sets(), answered);
+    }
+  }
+  EXPECT_GT(admits, 500u);
+  EXPECT_GT(overlap_refusals, 200u);
+  EXPECT_GT(refusals, overlap_refusals);
 }
 
 }  // namespace

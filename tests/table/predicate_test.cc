@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "table/datasets.h"
+#include "util/random.h"
 
 namespace tripriv {
 namespace {
@@ -120,6 +124,157 @@ TEST(PredicateTest, ShortCircuitDoesNotMaskErrors) {
   auto rows = p.MatchingRows(t);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
+}
+
+// --- Compiled scan vs per-row Matches ---------------------------------------
+// MatchingRows compiles the tree once per scan and resolves each leaf's
+// column on first evaluation. The reference below is the per-row tree walk;
+// rows, status codes and messages must all agree.
+
+Result<std::vector<size_t>> MatchesLoop(const Predicate& p, const DataTable& t) {
+  std::vector<size_t> out;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    TRIPRIV_ASSIGN_OR_RETURN(bool match, p.Matches(t, r));
+    if (match) out.push_back(r);
+  }
+  return out;
+}
+
+void ExpectSameScan(const Predicate& p, const DataTable& t) {
+  const auto compiled = p.MatchingRows(t);
+  const auto reference = MatchesLoop(p, t);
+  ASSERT_EQ(compiled.ok(), reference.ok()) << p.ToString();
+  if (!reference.ok()) {
+    EXPECT_EQ(compiled.status().code(), reference.status().code())
+        << p.ToString();
+    EXPECT_EQ(compiled.status().message(), reference.status().message())
+        << p.ToString();
+    return;
+  }
+  EXPECT_EQ(*compiled, *reference) << p.ToString();
+}
+
+Schema MixedSchema() {
+  return Schema({{"i", AttributeType::kInteger, AttributeRole::kNonConfidential},
+                 {"x", AttributeType::kReal, AttributeRole::kNonConfidential},
+                 {"s", AttributeType::kCategorical,
+                  AttributeRole::kNonConfidential}});
+}
+
+/// Small table over i/x/s with about one null cell in six.
+DataTable RandomMixedTable(Rng* rng, size_t rows) {
+  std::vector<std::vector<Value>> cells;
+  for (size_t r = 0; r < rows; ++r) {
+    auto maybe_null = [rng](Value v) {
+      return rng->UniformU64(6) == 0 ? Value::Null() : v;
+    };
+    cells.push_back(
+        {maybe_null(Value(rng->UniformInt(0, 9))),
+         maybe_null(Value(static_cast<double>(rng->UniformInt(0, 19)) / 2.0)),
+         maybe_null(Value(std::string(1, static_cast<char>(
+                              'a' + rng->UniformU64(4)))))});
+  }
+  auto table = DataTable::FromRows(MixedSchema(), std::move(cells));
+  TRIPRIV_CHECK(table.ok()) << table.status().ToString();
+  return std::move(table).value();
+}
+
+/// A comparison over a known or unknown attribute with an int, real or
+/// string literal, so some leaves are ill-typed against their column.
+Predicate RandomLeaf(Rng* rng) {
+  static const char* kAttributes[] = {"i", "x", "s", "i", "x", "s", "nope"};
+  const std::string attribute = kAttributes[rng->UniformU64(7)];
+  const auto op = static_cast<CompareOp>(rng->UniformU64(6));
+  Value literal;
+  switch (rng->UniformU64(3)) {
+    case 0:
+      literal = Value(rng->UniformInt(0, 9));
+      break;
+    case 1:
+      literal = Value(static_cast<double>(rng->UniformInt(0, 19)) / 2.0);
+      break;
+    default:
+      literal = Value(std::string(1, static_cast<char>('a' + rng->UniformU64(4))));
+      break;
+  }
+  return Predicate::Compare(attribute, op, literal);
+}
+
+Predicate RandomTree(Rng* rng, int depth) {
+  if (depth == 0 || rng->UniformU64(4) == 0) {
+    return rng->UniformU64(10) == 0 ? Predicate::True() : RandomLeaf(rng);
+  }
+  switch (rng->UniformU64(3)) {
+    case 0:
+      return Predicate::And(RandomTree(rng, depth - 1), RandomTree(rng, depth - 1));
+    case 1:
+      return Predicate::Or(RandomTree(rng, depth - 1), RandomTree(rng, depth - 1));
+    default:
+      return Predicate::Not(RandomTree(rng, depth - 1));
+  }
+}
+
+TEST(PredicateScanTest, CompiledScanEqualsMatchesLoopOnRandomTrees) {
+  Rng rng(0x5CA11ED);
+  size_t errors = 0;
+  size_t matched = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const DataTable t = RandomMixedTable(&rng, rng.UniformU64(24));
+    const Predicate p = RandomTree(&rng, 4);
+    ExpectSameScan(p, t);
+    const auto rows = p.MatchingRows(t);
+    if (!rows.ok()) ++errors;
+    if (rows.ok() && !rows->empty()) ++matched;
+  }
+  // The seeded trees exercise both outcomes, not just one.
+  EXPECT_GT(errors, 50u);
+  EXPECT_GT(matched, 50u);
+}
+
+TEST(PredicateScanTest, UnknownAttributeBehindShortCircuits) {
+  DataTable t = PaperDataset1();  // heights 155..190
+  const Predicate unknown = Predicate::Compare("missing", CompareOp::kEq, Value(1));
+  const Predicate never = Predicate::Compare("height", CompareOp::kLt, Value(0));
+  const Predicate always = Predicate::Compare("height", CompareOp::kGt, Value(0));
+  const Predicate some = Predicate::Compare("height", CompareOp::kGe, Value(180));
+  const Predicate cases[] = {
+      Predicate::And(never, unknown),   // never reached: OK
+      Predicate::Or(always, unknown),   // never reached: OK
+      Predicate::And(unknown, never),   // reached on row 0
+      Predicate::Or(never, unknown),    // reached on row 0
+      Predicate::And(some, unknown),    // reached on a later row only
+      Predicate::Or(some, unknown),     // reached on row 0
+      Predicate::Not(Predicate::And(never, unknown)),
+  };
+  for (const Predicate& p : cases) ExpectSameScan(p, t);
+  EXPECT_TRUE(Predicate::And(never, unknown).MatchingRows(t).ok());
+  EXPECT_EQ(Predicate::And(some, unknown).MatchingRows(t).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(PredicateScanTest, TypeMismatchesMatchPerRowEvaluation) {
+  DataTable t = PaperDataset1();
+  const Predicate mismatch = Predicate::Compare("aids", CompareOp::kLt, Value(10));
+  const Predicate some = Predicate::Compare("height", CompareOp::kGe, Value(180));
+  for (const Predicate& p :
+       {mismatch, Predicate::And(some, mismatch), Predicate::Or(some, mismatch),
+        Predicate::Not(mismatch)}) {
+    ExpectSameScan(p, t);
+  }
+  EXPECT_EQ(mismatch.MatchingRows(t).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(PredicateScanTest, EmptyTableNeverErrors) {
+  auto empty = DataTable::FromRows(MixedSchema(), {});
+  ASSERT_TRUE(empty.ok());
+  const Predicate p = Predicate::Or(
+      Predicate::Compare("nope", CompareOp::kEq, Value(1)),
+      Predicate::Compare("s", CompareOp::kLt, Value(3)));
+  auto rows = p.MatchingRows(*empty);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_TRUE(rows->empty());
+  ExpectSameScan(p, *empty);
 }
 
 }  // namespace
