@@ -1,8 +1,8 @@
 // Ablation D: PIR cost — what user privacy charges per query.
 //
 // google-benchmark microbenchmarks of the user-privacy substrate:
-//   * 2-server XOR PIR and 4-server cube PIR vs database size (the cube
-//     scheme trades servers for O(sqrt n) upload);
+//   * 2-server XOR PIR vs database size (bench_recursive_pir covers the
+//     hypercube scheme, which trades servers for O(d * n^(1/d)) upload);
 //   * single-server computational PIR (Paillier) vs database size;
 //   * the plaintext baseline (no user privacy);
 //   * private aggregate COUNT (the Section 3 query) vs grid size.
@@ -56,25 +56,6 @@ void BM_TwoServerPir(benchmark::State& state) {
   state.counters["upload_bits"] = static_cast<double>(stats.upload_bits);
 }
 BENCHMARK(BM_TwoServerPir)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
-
-void BM_FourServerCubePir(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto records = MakeRecords(n, 64);
-  std::vector<XorPirServer> servers;
-  for (int i = 0; i < 4; ++i) servers.push_back(*XorPirServer::Create(records));
-  std::array<XorPirServer*, 4> ptrs{&servers[0], &servers[1], &servers[2],
-                                    &servers[3]};
-  Rng rng(11);
-  PirStats stats;
-  for (auto _ : state) {
-    const size_t idx = static_cast<size_t>(rng.UniformU64(n));
-    stats.Reset();  // PirStats accumulates; keep the counter per-query
-    auto got = FourServerCubePirRead(ptrs, idx, &rng, &stats);
-    benchmark::DoNotOptimize(got);
-  }
-  state.counters["upload_bits"] = static_cast<double>(stats.upload_bits);
-}
-BENCHMARK(BM_FourServerCubePir)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_ComputationalPir(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -199,29 +199,6 @@ Result<ServiceMetrics> ServiceMetrics::Create(MetricsRegistry* registry,
                               "PIR queries answered across server pairs",
                               {{"dimension", "user"}}));
   TRIPRIV_ASSIGN_OR_RETURN(
-      metrics.pir_upload_bits_,
-      registry->RegisterGauge("tripriv_pir_upload_bits",
-                              "Query bits shipped to recursive PIR replicas",
-                              {{"dimension", "user"}}));
-  TRIPRIV_ASSIGN_OR_RETURN(
-      metrics.pir_expanded_cells_,
-      registry->RegisterGauge(
-          "tripriv_pir_expanded_cells",
-          "Hypercube cells expanded server-side from seeds and axis bitmaps",
-          {{"dimension", "user"}}));
-  TRIPRIV_ASSIGN_OR_RETURN(
-      metrics.pir_preprocess_bytes_,
-      registry->RegisterGauge(
-          "tripriv_pir_preprocess_bytes",
-          "Bytes pinned by preprocessed PIR parity layouts",
-          {{"dimension", "user"}}));
-  TRIPRIV_ASSIGN_OR_RETURN(
-      metrics.pir_sessions_,
-      registry->RegisterGauge(
-          "tripriv_pir_sessions",
-          "Live recursive-PIR expansion sessions across tenant classes",
-          {{"dimension", "user"}}));
-  TRIPRIV_ASSIGN_OR_RETURN(
       metrics.channel_retransmissions_,
       registry->RegisterGauge("tripriv_channel_retransmissions",
                               "SMC channel frames retransmitted"));

@@ -175,17 +175,6 @@ class ServiceMetrics {
           pir_failovers_->Set(static_cast<double>(failovers));
           pir_corrupt_->Set(static_cast<double>(corrupt_answers));
           pir_queries_->Set(static_cast<double>(queries_answered));)
-  /// Recursive-PIR transport series: query upload shipped, hypercube cells
-  /// expanded server-side, bytes pinned by preprocessed parity layouts,
-  /// and live expansion sessions (all aggregates over allowlisted tenant
-  /// classes — never per-principal).
-  void PublishPirTransport(uint64_t upload_bits, uint64_t expanded_cells,
-                           uint64_t preprocess_bytes, uint64_t sessions)
-      TRIPRIV_OBS_BODY(
-          pir_upload_bits_->Set(static_cast<double>(upload_bits));
-          pir_expanded_cells_->Set(static_cast<double>(expanded_cells));
-          pir_preprocess_bytes_->Set(static_cast<double>(preprocess_bytes));
-          pir_sessions_->Set(static_cast<double>(sessions));)
   void PublishChannel(uint64_t retransmissions, uint64_t timeouts,
                       uint64_t duplicates, uint64_t checksum_failures)
       TRIPRIV_OBS_BODY(
@@ -255,10 +244,6 @@ class ServiceMetrics {
   Gauge* pir_failovers_ = nullptr;
   Gauge* pir_corrupt_ = nullptr;
   Gauge* pir_queries_ = nullptr;
-  Gauge* pir_upload_bits_ = nullptr;
-  Gauge* pir_expanded_cells_ = nullptr;
-  Gauge* pir_preprocess_bytes_ = nullptr;
-  Gauge* pir_sessions_ = nullptr;
   Gauge* channel_retransmissions_ = nullptr;
   Gauge* channel_timeouts_ = nullptr;
   Gauge* channel_duplicates_ = nullptr;

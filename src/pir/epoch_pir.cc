@@ -79,27 +79,6 @@ uint64_t EpochPirReader::StreamedBy(const Replicas& replicas) {
          (replicas.b != nullptr ? replicas.b->bytes_streamed() : 0);
 }
 
-Result<std::vector<uint8_t>> EpochPirReader::Read(size_t index, Rng* rng) {
-  PinnedEpoch pinned = manager_->Pin();
-  TRIPRIV_ASSIGN_OR_RETURN(Replicas * replicas, ReplicasFor(pinned));
-  last_served_epoch_ = pinned->epoch;
-  const uint64_t streamed = StreamedBy(*replicas);
-  Result<std::vector<uint8_t>> answer = Status::Internal("not read");
-  if (options_.dimensions <= 1) {
-    answer = TwoServerPirRead(replicas->a.get(), replicas->b.get(), index,
-                              rng, &stats_);
-  } else {
-    PirSessionRegistry::Session* session = sessions_.Establish(
-        options_.tenant_class, replicas->geometry, replicas->epoch);
-    const std::vector<XorPirServer*> servers(
-        replicas->geometry.num_servers(), replicas->a.get());
-    answer = RecursivePirRead(servers, replicas->geometry, index, rng,
-                              /*pool=*/nullptr, &stats_, session);
-  }
-  bytes_streamed_ += StreamedBy(*replicas) - streamed;
-  return answer;
-}
-
 Result<std::vector<std::vector<uint8_t>>> EpochPirReader::ReadBatch(
     const std::vector<size_t>& indices, Rng* rng, ThreadPool* pool) {
   // One pin for the whole batch: every answer comes from the same frozen

@@ -72,17 +72,13 @@ class EpochPirReader {
   explicit EpochPirReader(EpochManager* manager, EpochPirOptions options = {})
       : manager_(manager), options_(options) {}
 
-  /// Privately retrieves row `index` of the CURRENT epoch's protected
-  /// table (pins it for the duration of the read). Single reads are
-  /// inline; parallelism lives in ReadBatch.
-  Result<std::vector<uint8_t>> Read(size_t index, Rng* rng);
-
-  /// Batched private reads, all against ONE pinned epoch: the batch is a
-  /// consistent snapshot even if flips land while it runs. One pass per
-  /// replica answers the whole batch (TwoServerPirBatchRead flat;
+  /// Batched private reads of the CURRENT epoch's protected table, all
+  /// against ONE pinned epoch: the batch is a consistent snapshot even if
+  /// flips land while it runs; a single read is a batch of one. One pass
+  /// per replica answers the whole batch (TwoServerPirBatchRead flat;
   /// RecursivePirBatchRead recursive, one pass per 4 MiB group of
-  /// expanded selections). Answers are positional;
-  /// bit-identical at any thread count.
+  /// expanded selections). Answers are positional; bit-identical at any
+  /// thread count.
   Result<std::vector<std::vector<uint8_t>>> ReadBatch(
       const std::vector<size_t>& indices, Rng* rng, ThreadPool* pool = nullptr);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 #include "pir/xor_kernel.h"
@@ -10,18 +9,6 @@
 
 namespace tripriv {
 namespace {
-
-bool GetBit(const std::vector<uint8_t>& bits, size_t i) {
-  return (bits[i / 8] >> (i % 8)) & 1u;
-}
-
-/// Flips grid cell (row, col) in a flat per-record bitmap, ignoring cells
-/// past the end of the database (the grid may overhang n).
-void FlipGridCell(std::vector<uint8_t>* flat, size_t row, size_t col,
-                  size_t cols, size_t n) {
-  const size_t i = row * cols + col;
-  if (i < n) FlipSelectionBit(flat, i);
-}
 
 /// Batches below this many selected-record bytes (selections x records x
 /// record size) stay serial: the fork/join handoff costs more than the
@@ -463,75 +450,6 @@ Result<std::vector<std::vector<uint8_t>>> TwoServerPirBatchRead(
     stats->download_bits += indices.size() * 2 * 8 * server_a->record_size();
   }
   return answers;
-}
-
-Result<std::vector<uint8_t>> FourServerCubePirRead(
-    const std::array<XorPirServer*, 4>& servers, size_t index, Rng* rng,
-    PirStats* stats) {
-  TRIPRIV_CHECK(rng != nullptr);
-  for (auto* s : servers) TRIPRIV_CHECK(s != nullptr);
-  const size_t n = servers[0]->num_records();
-  for (auto* s : servers) {
-    if (s->num_records() != n || s->record_size() != servers[0]->record_size()) {
-      return Status::InvalidArgument("servers must hold identical replicas");
-    }
-  }
-  if (index >= n) return Status::OutOfRange("record index out of range");
-
-  // Grid dimensions: rows x cols >= n.
-  const size_t cols = static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(n))));
-  const size_t rows = (n + cols - 1) / cols;
-  const size_t target_row = index / cols;
-  const size_t target_col = index % cols;
-
-  std::vector<uint8_t> row_sel = RandomSelectionBits(rows, rng);
-  std::vector<uint8_t> col_sel = RandomSelectionBits(cols, rng);
-  std::vector<uint8_t> row_sel_flipped = row_sel;
-  FlipSelectionBit(&row_sel_flipped, target_row);
-
-  // Server s in {0..3} gets (row_sel [xor {i1} if s&1], col_sel [xor {i2}
-  // if s&2]) and answers the XOR of all records in the selected submatrix.
-  // Expanding the product selection into a flat per-record bitmap keeps the
-  // XorPirServer interface uniform; upload accounting uses the compact
-  // per-axis size the real protocol would ship. The four flat bitmaps
-  // differ only along the target row/column stripe, so server 0's O(n)
-  // expansion is built once and the other three are derived by O(sqrt n)
-  // stripe flips:
-  //   flat1 = flat0 ^ {row target_row restricted to col_sel}
-  //   flat2 = flat0 ^ {col target_col restricted to row_sel}
-  //   flat3 = flat1 ^ {col target_col restricted to row_sel_flipped}
-  std::vector<uint8_t> flat0((n + 7) / 8, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if (GetBit(row_sel, i / cols) && GetBit(col_sel, i % cols)) {
-      FlipSelectionBit(&flat0, i);
-    }
-  }
-  std::vector<uint8_t> flat1 = flat0;
-  for (size_t c = 0; c < cols; ++c) {
-    if (GetBit(col_sel, c)) FlipGridCell(&flat1, target_row, c, cols, n);
-  }
-  std::vector<uint8_t> flat2 = flat0;
-  for (size_t r = 0; r < rows; ++r) {
-    if (GetBit(row_sel, r)) FlipGridCell(&flat2, r, target_col, cols, n);
-  }
-  std::vector<uint8_t> flat3 = flat1;
-  for (size_t r = 0; r < rows; ++r) {
-    if (GetBit(row_sel_flipped, r)) FlipGridCell(&flat3, r, target_col, cols, n);
-  }
-
-  const std::array<const std::vector<uint8_t>*, 4> flats{&flat0, &flat1,
-                                                         &flat2, &flat3};
-  std::vector<uint8_t> acc(servers[0]->record_size(), 0);
-  for (size_t s = 0; s < 4; ++s) {
-    TRIPRIV_ASSIGN_OR_RETURN(auto answer, servers[s]->Answer(*flats[s]));
-    XorBytesInto(acc.data(), answer.data(), acc.size());
-  }
-  if (stats != nullptr) {
-    // Accumulate, never overwrite — see the PirStats contract in it_pir.h.
-    stats->upload_bits += 4 * (rows + cols);
-    stats->download_bits += 4 * 8 * servers[0]->record_size();
-  }
-  return acc;
 }
 
 }  // namespace tripriv

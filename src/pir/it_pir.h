@@ -7,9 +7,10 @@
 //     record indices, server B gets S xor {i}; each returns the XOR of the
 //     selected records; the two answers XOR to record i. Query cost:
 //     n bits up, one record down, per server.
-//   * 4-server cube scheme: the index is split over a sqrt(n) x sqrt(n)
-//     grid and the subset trick applied per axis, cutting upload to
-//     O(sqrt(n)) bits per server.
+//   * the CGKS cube scheme, which splits the index over a grid and applies
+//     the subset trick per axis, lives in pir/recursive_pir.h: d axes over
+//     2^d replicas, O(d * n^(1/d)) upload bits per server (d = 2 is the
+//     4-server sqrt(n) x sqrt(n) cube).
 // The answer path is the system's steady-state hot loop, and every answer
 // is an O(n) pass over the replica. A batch therefore pays for ONE pass
 // per replica, not one per selection: XorPirServer::ComputeBatch walks each
@@ -21,11 +22,10 @@
 // thread count; ComputeAnswer is the kernel's one-selection case.
 // Preprocess() swaps the plain layout for a 64-byte-aligned pair-parity
 // layout (the XOR analog of SealPIR's preprocess_ntt), the kernel's other
-// layout branch. pir/recursive_pir.h generalizes the 4-server cube below to
-// d dimensions with seed-compressed queries. Batched reads
-// (TwoServerPirBatchRead) draw all query randomness serially in index
-// order, then answer the whole batch in one pass per replica — the whole
-// transcript is a pure function of the seed and the batch.
+// layout branch. Batched reads (TwoServerPirBatchRead) draw all query
+// randomness serially in index order, then answer the whole batch in one
+// pass per replica — the whole transcript is a pure function of the seed
+// and the batch.
 //
 // Recording what a server observed (its view of the protocol, used by the
 // evaluation harness and the attack demos) is opt-in and bounded: under
@@ -35,7 +35,6 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -218,7 +217,7 @@ class XorPirServer {
 };
 
 /// Communication accounting. Contract: EVERY read path — single, batch,
-/// cube, recursive, keyword — ACCUMULATES into the caller's struct with
+/// recursive, keyword — ACCUMULATES into the caller's struct with
 /// `+=`, never overwrites, so one PirStats can meter an arbitrary
 /// interleaving of read paths as a running total. Callers wanting per-query
 /// numbers pass a freshly zeroed struct (or call Reset between reads).
@@ -247,13 +246,6 @@ Result<std::vector<uint8_t>> TwoServerPirRead(XorPirServer* server_a,
 Result<std::vector<std::vector<uint8_t>>> TwoServerPirBatchRead(
     XorPirServer* server_a, XorPirServer* server_b,
     const std::vector<size_t>& indices, Rng* rng, ThreadPool* pool = nullptr,
-    PirStats* stats = nullptr);
-
-/// Retrieves record `index` via the 4-server cube scheme (upload
-/// O(sqrt(n)) bits per server). All four servers must hold identical
-/// replicas.
-Result<std::vector<uint8_t>> FourServerCubePirRead(
-    const std::array<XorPirServer*, 4>& servers, size_t index, Rng* rng,
     PirStats* stats = nullptr);
 
 }  // namespace tripriv

@@ -3,8 +3,9 @@
 //
 // The flat 2-server scheme ships O(n) selection bits per query; at 10^6
 // records the query upload dominates everything else the serving stack
-// does. This module generalizes the 4-server cube path of pir/it_pir.h to
-// a d-dimensional hypercube over 2^d replicas:
+// does. This module is the CGKS cube scheme generalized to a
+// d-dimensional hypercube over 2^d replicas (d = 2 is the 4-server
+// sqrt(n) x sqrt(n) cube):
 //
 //   * the database is laid out as a hypercube of `side^d >= n` cells
 //     (HypercubeGeometry), the target index split into one coordinate per

@@ -58,17 +58,10 @@ std::vector<ServiceAnswer> BatchExecutor::ExecuteQueryBatch(
 }
 
 std::vector<Result<std::vector<uint8_t>>> BatchExecutor::ExecutePirBatch(
-    const std::vector<size_t>& indices, const Deadline& deadline,
-    uint8_t tenant_class) {
+    const std::vector<size_t>& indices, const Deadline& deadline) {
   ++stats_.pir_batches;
   stats_.pir_reads += indices.size();
-  // Tag the whole batch with the caller's class, restoring the previous
-  // tag after — the same discipline SubmitPrepared applies per request.
-  const uint8_t previous_class = service_->request_class();
-  service_->set_request_class(tenant_class);
-  auto results = service_->PirReadBatch(indices, deadline, pool_);
-  service_->set_request_class(previous_class);
-  return results;
+  return service_->PirReadBatch(indices, deadline, pool_);
 }
 
 }  // namespace tripriv

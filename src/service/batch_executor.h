@@ -63,12 +63,8 @@ class BatchExecutor {
 
   /// Batched private record reads via the service's PIR backend; results
   /// are positional. Requires AttachPirBackend on the service.
-  /// `tenant_class` tags the batch with an allowlisted class (obs::kClass*
-  /// index, never a principal id): the recursive backend keys its
-  /// expansion session on it, so a whole batch reuses one expanded state.
   std::vector<Result<std::vector<uint8_t>>> ExecutePirBatch(
-      const std::vector<size_t>& indices, const Deadline& deadline,
-      uint8_t tenant_class = obs::kClassUnattributed);
+      const std::vector<size_t>& indices, const Deadline& deadline);
 
   const BatchExecutorStats& stats() const { return stats_; }
 

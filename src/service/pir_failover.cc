@@ -33,16 +33,8 @@ Result<std::vector<std::vector<uint8_t>>> ChecksumRecords(
 Result<FailoverPirClient> FailoverPirClient::Build(
     const std::vector<std::vector<uint8_t>>& records, size_t num_pairs,
     const RetryPolicy& retry, SimClock* clock, uint64_t seed) {
-  return BuildRecursive(records, num_pairs, /*dimensions=*/1, retry, clock,
-                        seed);
-}
-
-Result<FailoverPirClient> FailoverPirClient::BuildRecursive(
-    const std::vector<std::vector<uint8_t>>& records, size_t num_groups,
-    size_t dimensions, const RetryPolicy& retry, SimClock* clock,
-    uint64_t seed, bool preprocess) {
   TRIPRIV_CHECK(clock != nullptr);
-  if (num_groups < 1) {
+  if (num_pairs < 1) {
     return Status::InvalidArgument("need at least one server group");
   }
   TRIPRIV_ASSIGN_OR_RETURN(auto stored, ChecksumRecords(records));
@@ -50,20 +42,11 @@ Result<FailoverPirClient> FailoverPirClient::BuildRecursive(
   FailoverPirClient client(retry, clock, seed);
   client.num_records_ = records.size();
   client.payload_size_ = records[0].size();
-  client.dimensions_ = dimensions;
-  if (dimensions > 1) {
-    TRIPRIV_ASSIGN_OR_RETURN(
-        client.geometry_, HypercubeGeometry::Balanced(stored.size(), dimensions));
-  } else if (dimensions < 1) {
-    return Status::InvalidArgument("hypercube dimension must be in [1, 8]");
-  }
   // Every replica is a copy of one rendered server: the records are laid
-  // out (and preprocessed) once.
+  // out once.
   TRIPRIV_ASSIGN_OR_RETURN(XorPirServer replica, XorPirServer::Create(stored));
-  if (preprocess) replica.Preprocess();
-  const size_t total = client.group_size() * num_groups;
-  client.servers_.assign(total, replica);
-  client.faults_.resize(total);
+  client.servers_.assign(2 * num_pairs, replica);
+  client.faults_.resize(2 * num_pairs);
   return client;
 }
 
@@ -88,90 +71,49 @@ bool FailoverPirClient::ChecksumHolds(const std::vector<uint8_t>& rec) const {
   return Fnv1a64(rec.data(), payload_size_) == stored_sum;
 }
 
-Result<std::vector<uint8_t>> FailoverPirClient::VerifyReconstruction(
-    std::vector<uint8_t> rec, size_t group) {
-  if (!ChecksumHolds(rec)) {
-    ++corrupt_detected_;
-    return Status::Unavailable("PIR group " + std::to_string(group) +
-                               " returned a corrupt reconstruction");
-  }
-  rec.resize(payload_size_);
-  return rec;
-}
-
-Result<std::vector<uint8_t>> FailoverPirClient::ReadFromGroup(
-    size_t group, size_t index, uint8_t tenant_class, ThreadPool* pool) {
-  const size_t gs = group_size();
-  const size_t base = gs * group;
-  for (size_t s = base; s < base + gs; ++s) {
+Result<std::vector<uint8_t>> FailoverPirClient::ReadFromPair(size_t pair,
+                                                             size_t index) {
+  const size_t a = 2 * pair;
+  const size_t b = a + 1;
+  for (size_t s : {a, b}) {
     if (faults_[s].crashed) {
       return Status::Unavailable("PIR server " + std::to_string(s) +
                                  " is down");
     }
   }
 
-  if (dimensions_ <= 1) {
-    const size_t a = base;
-    const size_t b = base + 1;
-    const size_t n = num_records_;
-    std::vector<uint8_t> sel_a = RandomSelectionBits(n, &rng_);
-    std::vector<uint8_t> sel_b = sel_a;
-    FlipSelectionBit(&sel_b, index);
+  std::vector<uint8_t> sel_a = RandomSelectionBits(num_records_, &rng_);
+  std::vector<uint8_t> sel_b = sel_a;
+  FlipSelectionBit(&sel_b, index);
 
-    TRIPRIV_ASSIGN_OR_RETURN(auto ans_a, servers_[a].Answer(sel_a));
-    TRIPRIV_ASSIGN_OR_RETURN(auto ans_b, servers_[b].Answer(sel_b));
-    for (size_t s : {a, b}) {
-      auto& ans = (s == a) ? ans_a : ans_b;
-      if (!ans.empty() && rng_.Bernoulli(faults_[s].corrupt_rate)) {
-        const size_t byte = static_cast<size_t>(rng_.UniformU64(ans.size()));
-        ans[byte] ^= 0x5A;
-      }
-    }
-    TRIPRIV_CHECK_EQ(ans_a.size(), ans_b.size());
-    for (size_t i = 0; i < ans_a.size(); ++i) ans_a[i] ^= ans_b[i];
-    return VerifyReconstruction(std::move(ans_a), group);
-  }
-
-  // Recursive group: seed-compressed queries, one answer per replica,
-  // fault draws in member order (the flat path's per-side discipline).
-  PirSessionRegistry::Session* session =
-      sessions_.Establish(tenant_class, geometry_, /*epoch=*/0);
-  TRIPRIV_ASSIGN_OR_RETURN(auto queries,
-                           BuildHypercubeQueries(geometry_, index, &rng_));
-  std::vector<uint8_t> rec(payload_size_ + 8, 0);
-  size_t upload = 0;
-  for (size_t m = 0; m < gs; ++m) {
-    upload += queries[m].upload_bits(geometry_);
-    TRIPRIV_ASSIGN_OR_RETURN(
-        auto ans, AnswerHypercubeQuery(&servers_[base + m], queries[m],
-                                       geometry_, pool, session));
-    if (!ans.empty() && rng_.Bernoulli(faults_[base + m].corrupt_rate)) {
+  TRIPRIV_ASSIGN_OR_RETURN(auto ans_a, servers_[a].Answer(sel_a));
+  TRIPRIV_ASSIGN_OR_RETURN(auto ans_b, servers_[b].Answer(sel_b));
+  for (size_t s : {a, b}) {
+    auto& ans = (s == a) ? ans_a : ans_b;
+    if (!ans.empty() && rng_.Bernoulli(faults_[s].corrupt_rate)) {
       const size_t byte = static_cast<size_t>(rng_.UniformU64(ans.size()));
       ans[byte] ^= 0x5A;
     }
-    TRIPRIV_CHECK_EQ(ans.size(), rec.size());
-    XorBytesInto(rec.data(), ans.data(), rec.size());
   }
-  session->reads += 1;
-  session->upload_bits += upload;
-  return VerifyReconstruction(std::move(rec), group);
+  TRIPRIV_CHECK_EQ(ans_a.size(), ans_b.size());
+  XorBytesInto(ans_a.data(), ans_b.data(), ans_a.size());
+  if (!ChecksumHolds(ans_a)) {
+    ++corrupt_detected_;
+    return Status::Unavailable("PIR group " + std::to_string(pair) +
+                               " returned a corrupt reconstruction");
+  }
+  ans_a.resize(payload_size_);
+  return ans_a;
 }
 
 Result<std::vector<uint8_t>> FailoverPirClient::Read(size_t index,
-                                                     const Deadline& deadline,
-                                                     uint8_t tenant_class) {
-  return ReadImpl(index, deadline, tenant_class, /*pool=*/nullptr);
-}
-
-Result<std::vector<uint8_t>> FailoverPirClient::ReadImpl(
-    size_t index, const Deadline& deadline, uint8_t tenant_class,
-    ThreadPool* pool) {
+                                                     const Deadline& deadline) {
   if (index >= num_records_) {
     return Status::OutOfRange("record index out of range");
   }
-  const size_t groups = num_groups();
-  const size_t first_group = next_pair_;
-  next_pair_ = (next_pair_ + 1) % groups;
+  const size_t pairs = num_pairs();
+  const size_t first_pair = next_pair_;
+  next_pair_ = (next_pair_ + 1) % pairs;
 
   Status last = Status::Unavailable("no PIR attempt was made");
   const size_t max_attempts = retry_.max_attempts < 1 ? 1 : retry_.max_attempts;
@@ -180,9 +122,9 @@ Result<std::vector<uint8_t>> FailoverPirClient::ReadImpl(
       return DeadlineExceededError("PIR read after " +
                                    std::to_string(attempt) + " attempt(s)");
     }
-    const size_t group = (first_group + attempt) % groups;
+    const size_t pair = (first_pair + attempt) % pairs;
     if (attempt > 0) ++failovers_;
-    auto read = ReadFromGroup(group, index, tenant_class, pool);
+    auto read = ReadFromPair(pair, index);
     if (read.ok()) return read;
     if (!read.status().transient()) return read.status();
     last = read.status();
@@ -192,26 +134,13 @@ Result<std::vector<uint8_t>> FailoverPirClient::ReadImpl(
   }
   return Status::Unavailable("PIR read failed after " +
                              std::to_string(max_attempts) +
-                             " attempts across " + std::to_string(groups) +
+                             " attempts across " + std::to_string(pairs) +
                              " group(s); last: " + last.message());
 }
 
 std::vector<Result<std::vector<uint8_t>>> FailoverPirClient::ReadBatch(
     const std::vector<size_t>& indices, const Deadline& deadline,
-    ThreadPool* pool, uint8_t tenant_class) {
-  if (dimensions_ > 1) {
-    // Recursive groups: items run serially in index order (the exact rng
-    // transcript of a Read loop) and the pool instead tiles each replica's
-    // XOR pass inside the answer — expansion state and the session scratch
-    // never cross threads, and one session serves the whole batch.
-    std::vector<Result<std::vector<uint8_t>>> results;
-    results.reserve(indices.size());
-    for (size_t index : indices) {
-      results.push_back(ReadImpl(index, deadline, tenant_class, pool));
-    }
-    return results;
-  }
-
+    ThreadPool* pool) {
   // One fast-path attempt per item against its round-robin pair, with all
   // randomness pre-drawn so the compute stage is pure.
   struct BatchAttempt {
@@ -316,7 +245,7 @@ std::vector<Result<std::vector<uint8_t>>> FailoverPirClient::ReadBatch(
           continue;
         }
         // Rejected by the checksum — same accounting as the serial
-        // ReadFromGroup path.
+        // ReadFromPair path.
         ++corrupt_detected_;
       }
     }

@@ -20,12 +20,8 @@
 // query, so the single-server view stays information-theoretically blind
 // across retries.
 //
-// BuildRecursive swaps the pairs for groups of 2^d replicas running the
-// recursive hypercube scheme (pir/recursive_pir.h): upload drops from O(n)
-// to O(d * n^(1/d)) bits per read, failover moves whole groups, and a
-// PirSessionRegistry keyed by allowlisted tenant class retains expansion
-// scratch across a batch. d = 1 degenerates to the flat pair path,
-// byte-identical to Build.
+// The client serves flat pairs only. The recursive hypercube scheme
+// (pir/recursive_pir.h) runs behind EpochPirReader, not behind failover.
 
 #pragma once
 
@@ -33,7 +29,6 @@
 #include <vector>
 
 #include "pir/it_pir.h"
-#include "pir/recursive_pir.h"
 #include "util/clock.h"
 #include "util/random.h"
 #include "util/retry.h"
@@ -63,27 +58,14 @@ class FailoverPirClient {
       const std::vector<std::vector<uint8_t>>& records, size_t num_pairs,
       const RetryPolicy& retry, SimClock* clock, uint64_t seed);
 
-  /// Like Build, but each failover group runs the recursive d-dimensional
-  /// scheme across 2^d replicas (d = 1 is exactly the flat pair path).
-  /// `preprocess` renders the per-replica parity layout at build time.
-  /// Requires num_groups >= 1 and d in [1, 8].
-  static Result<FailoverPirClient> BuildRecursive(
-      const std::vector<std::vector<uint8_t>>& records, size_t num_groups,
-      size_t dimensions, const RetryPolicy& retry, SimClock* clock,
-      uint64_t seed, bool preprocess = false);
-
-  /// Installs `fault` on physical server `server` (group s / group_size(),
-  /// member s % group_size()).
+  /// Installs `fault` on physical server `server` (pair s / 2, side s % 2).
   void InjectFault(size_t server, const PirServerFault& fault);
 
-  /// Privately reads record `index`, failing over across groups under the
+  /// Privately reads record `index`, failing over across pairs under the
   /// retry policy and `deadline`. Returns the record WITHOUT its checksum
-  /// suffix. Fails with kUnavailable when every attempt hit a crashed group
+  /// suffix. Fails with kUnavailable when every attempt hit a crashed pair
   /// or a corrupt reconstruction, kDeadlineExceeded when time ran out.
-  /// `tenant_class` keys the recursive expansion session (allowlisted
-  /// class index, never a principal id; ignored in flat mode).
-  Result<std::vector<uint8_t>> Read(size_t index, const Deadline& deadline,
-                                    uint8_t tenant_class = 0);
+  Result<std::vector<uint8_t>> Read(size_t index, const Deadline& deadline);
 
   /// Batched private reads with positional results. Pair assignment,
   /// selection randomness, observation logging, and fault draws all happen
@@ -94,33 +76,11 @@ class FailoverPirClient {
   /// pair, a replica failing its pass, corrupt reconstruction) fall back to
   /// the serial Read retry ladder, again in index order, so answers,
   /// counters, and server views are independent of the thread count.
-  /// Recursive groups run items serially through that ladder, each
-  /// replica's pass tiled across `pool`.
   std::vector<Result<std::vector<uint8_t>>> ReadBatch(
       const std::vector<size_t>& indices, const Deadline& deadline,
-      ThreadPool* pool = nullptr, uint8_t tenant_class = 0);
+      ThreadPool* pool = nullptr);
 
   size_t num_pairs() const { return servers_.size() / 2; }
-  /// Replicas per failover group: 2 flat, 2^d recursive.
-  size_t group_size() const {
-    return dimensions_ <= 1 ? 2 : (size_t{1} << dimensions_);
-  }
-  /// Independent failover groups (== num_pairs() in flat mode).
-  size_t num_groups() const { return servers_.size() / group_size(); }
-  /// 1 for the flat pair scheme, else the hypercube dimension.
-  size_t dimensions() const { return dimensions_; }
-  /// Recursive-mode hypercube geometry (zero-initialized in flat mode).
-  const HypercubeGeometry& geometry() const { return geometry_; }
-  /// Per-tenant-class recursive expansion sessions (empty in flat mode).
-  const PirSessionRegistry& sessions() const { return sessions_; }
-  /// Bytes held by preprocessed parity layouts across all replicas.
-  uint64_t preprocess_bytes() const {
-    uint64_t total = 0;
-    for (const XorPirServer& server : servers_) {
-      total += server.preprocess_bytes();
-    }
-    return total;
-  }
   size_t num_records() const { return num_records_; }
   /// Attempts that moved past the first-choice pair.
   size_t failovers() const { return failovers_; }
@@ -150,9 +110,9 @@ class FailoverPirClient {
     }
     return total;
   }
-  /// Physical server `i` (group i / group_size(), member i % group_size())
-  /// — its observation ring holds the single-server view the blindness
-  /// tests inspect (enable it with EnableObservationLogs first).
+  /// Physical server `i` (pair i / 2, side i % 2) — its observation ring
+  /// holds the single-server view the blindness tests inspect (enable it
+  /// with EnableObservationLogs first).
   const XorPirServer& server(size_t i) const {
     TRIPRIV_CHECK_LT(i, servers_.size());
     return servers_[i];
@@ -167,33 +127,18 @@ class FailoverPirClient {
   FailoverPirClient(const RetryPolicy& retry, SimClock* clock, uint64_t seed)
       : retry_(retry), clock_(clock), rng_(seed) {}
 
-  /// One read against group `group` (the 2-server scheme flat, the
-  /// recursive scheme otherwise), with fault injection and checksum
-  /// verification. `pool` tiles each replica's XOR pass in recursive
-  /// mode (unused flat — the batch path owns flat parallelism).
-  Result<std::vector<uint8_t>> ReadFromGroup(size_t group, size_t index,
-                                             uint8_t tenant_class,
-                                             ThreadPool* pool);
-  /// Read with an explicit pool for the recursive per-replica passes.
-  Result<std::vector<uint8_t>> ReadImpl(size_t index, const Deadline& deadline,
-                                        uint8_t tenant_class,
-                                        ThreadPool* pool);
+  /// One 2-server read against pair `pair`, with fault injection and
+  /// checksum verification.
+  Result<std::vector<uint8_t>> ReadFromPair(size_t pair, size_t index);
   /// True when a reconstruction's 8-byte suffix matches its payload.
   bool ChecksumHolds(const std::vector<uint8_t>& rec) const;
-  /// Strips and verifies the checksum suffix of a reconstruction; counts a
-  /// failure as a detected-corrupt answer.
-  Result<std::vector<uint8_t>> VerifyReconstruction(std::vector<uint8_t> rec,
-                                                    size_t group);
 
   RetryPolicy retry_;
   SimClock* clock_;
   Rng rng_;
   size_t num_records_ = 0;
   size_t payload_size_ = 0;  ///< record size before the checksum suffix
-  size_t dimensions_ = 1;    ///< 1 = flat pairs; >= 2 = recursive groups
-  HypercubeGeometry geometry_;  ///< recursive mode only
-  PirSessionRegistry sessions_;
-  std::vector<XorPirServer> servers_;  ///< [group0 m0, group0 m1, ...]
+  std::vector<XorPirServer> servers_;  ///< [pair0 a, pair0 b, pair1 a, ...]
   std::vector<PirServerFault> faults_;
   size_t next_pair_ = 0;  ///< round-robin start of the next read
   size_t failovers_ = 0;

@@ -555,10 +555,6 @@ void QueryService::PublishMetrics() {
                          pir_->corrupt_answers_detected(),
                          pir_->total_queries_answered(),
                          pir_->total_bytes_streamed());
-    metrics_->PublishPirTransport(pir_->sessions().total_upload_bits(),
-                                  pir_->sessions().total_expanded_cells(),
-                                  pir_->preprocess_bytes(),
-                                  pir_->sessions().num_sessions());
   }
 }
 
@@ -585,10 +581,7 @@ Result<std::vector<uint8_t>> QueryService::PirRead(size_t index,
     return Status::FailedPrecondition("no PIR backend attached");
   }
   const uint64_t span = BeginSpan(span_ids_.pir_read, 0, next_query_id_);
-  // The recursive backend keys its expansion session on the request class
-  // — the same allowlisted class the admission ladder uses, never a
-  // principal id.
-  auto record = pir_->Read(index, deadline, request_class_);
+  auto record = pir_->Read(index, deadline);
   if (metrics_ != nullptr && record.ok()) metrics_->OnPirRead();
   FinishSpan(span, record.status().code());
   return record;
@@ -608,7 +601,7 @@ std::vector<Result<std::vector<uint8_t>>> QueryService::PirReadBatch(
                             "no PIR backend attached")));
   }
   const uint64_t span = BeginSpan(span_ids_.pir_batch, 0, next_query_id_);
-  auto records = pir_->ReadBatch(indices, deadline, pool, request_class_);
+  auto records = pir_->ReadBatch(indices, deadline, pool);
   if (metrics_ != nullptr) {
     metrics_->OnPirBatch(indices.size());
     for (const auto& record : records) {

@@ -220,7 +220,6 @@ class QueryService {
   /// Principal ids never enter this seam — callers map principal→class
   /// before the service sees the request.
   void set_request_class(uint8_t cls) { request_class_ = cls; }
-  uint8_t request_class() const { return request_class_; }
 
   /// Privately reads record `index` through the attached failover client.
   Result<std::vector<uint8_t>> PirRead(size_t index, const Deadline& deadline);

@@ -303,6 +303,18 @@ TEST(InstrumentsTest, PublishCopiesComponentCountersIntoGauges) {
                    static_cast<double>(pir->total_bytes_streamed()));
   EXPECT_GT(GaugeValue(snapshot, "tripriv_pir_bytes_streamed"), 0.0);
   EXPECT_EQ(CounterValue(snapshot, "tripriv_pir_reads_total", user), 4u);
+  // After a corrupting batch every published PIR gauge has moved: a series
+  // no component feeds would read 0 here.
+  size_t pir_gauges = 0;
+  for (const MetricSample& sample : snapshot.samples) {
+    if (sample.kind != obs::MetricKind::kGauge ||
+        sample.name.rfind("tripriv_pir_", 0) != 0) {
+      continue;
+    }
+    ++pir_gauges;
+    EXPECT_GT(sample.gauge_value, 0.0) << sample.name;
+  }
+  EXPECT_GE(pir_gauges, 5u);
   const MetricSample* batch_size =
       Find(snapshot, "tripriv_pir_batch_size", user);
   ASSERT_NE(batch_size, nullptr);

@@ -37,13 +37,11 @@ TEST(PirStatsTest, InterleavedReadPathsAccumulateIntoOneStruct) {
   for (int i = 0; i < 4; ++i) {
     cube_servers.push_back(*XorPirServer::Create(records));
   }
-  std::array<XorPirServer*, 4> cube{&cube_servers[0], &cube_servers[1],
-                                    &cube_servers[2], &cube_servers[3]};
   Rng rng(1);
   PirStats stats;
 
-  // Batch of 3, then a single 2-server read, then a cube read, then a
-  // recursive read — one running total across all four paths.
+  // Batch of 3, then a single 2-server read, then a recursive read — one
+  // running total across all three paths.
   ASSERT_TRUE(TwoServerPirBatchRead(&*a, &*b, {1, 2, 3}, &rng, nullptr,
                                     &stats)
                   .ok());
@@ -56,13 +54,6 @@ TEST(PirStatsTest, InterleavedReadPathsAccumulateIntoOneStruct) {
   ASSERT_TRUE(TwoServerPirRead(&*a, &*b, 5, &rng, &stats).ok());
   expected_up += 2 * n;
   expected_down += 2 * 8 * size;
-  EXPECT_EQ(stats.upload_bits, expected_up);
-  EXPECT_EQ(stats.download_bits, expected_down);
-
-  // Cube read: rows = cols = 8 for n = 64.
-  ASSERT_TRUE(FourServerCubePirRead(cube, 9, &rng, &stats).ok());
-  expected_up += 4 * (8 + 8);
-  expected_down += 4 * 8 * size;
   EXPECT_EQ(stats.upload_bits, expected_up);
   EXPECT_EQ(stats.download_bits, expected_down);
 

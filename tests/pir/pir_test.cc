@@ -5,6 +5,7 @@
 #include "pir/cpir.h"
 #include "pir/it_pir.h"
 #include "pir/keyword_pir.h"
+#include "pir/recursive_pir.h"
 
 namespace tripriv {
 namespace {
@@ -147,6 +148,7 @@ TEST(TwoServerPirTest, RejectsBadInput) {
   EXPECT_FALSE(XorPirServer::Create({{1, 2}, {3}}).ok());
 }
 
+// The 4-server cube scheme is the recursive hypercube read at d = 2.
 TEST(FourServerCubePirTest, RetrievesEveryIndex) {
   auto records = MakeRecords(30, 8);  // non-square count exercises padding
   std::vector<XorPirServer> servers;
@@ -155,12 +157,14 @@ TEST(FourServerCubePirTest, RetrievesEveryIndex) {
     ASSERT_TRUE(s.ok());
     servers.push_back(std::move(*s));
   }
+  auto g = HypercubeGeometry::Balanced(records.size(), 2);
+  ASSERT_TRUE(g.ok());
   Rng rng(5);
-  std::array<XorPirServer*, 4> ptrs{&servers[0], &servers[1], &servers[2],
-                                    &servers[3]};
+  std::vector<XorPirServer*> ptrs{&servers[0], &servers[1], &servers[2],
+                                  &servers[3]};
   for (size_t i = 0; i < records.size(); ++i) {
     PirStats stats;
-    auto got = FourServerCubePirRead(ptrs, i, &rng, &stats);
+    auto got = RecursivePirRead(ptrs, *g, i, &rng, nullptr, &stats);
     ASSERT_TRUE(got.ok()) << i;
     EXPECT_EQ(*got, records[i]) << i;
     // Upload is O(sqrt(n)) per the compact per-axis accounting.

@@ -337,12 +337,12 @@ TEST(EpochRecursivePirTest, RecursiveReaderServesFlipsAndInvalidates) {
   // Both schemes decode the same protected rows of the pinned epoch.
   const auto expected = SnapshotRecords(db->Pin()->protected_table);
   for (size_t i : {0u, 5u, 23u}) {
-    auto rec = reader.Read(i, &rng);
+    auto rec = reader.ReadBatch({i}, &rng);
     ASSERT_TRUE(rec.ok()) << i;
-    EXPECT_EQ(*rec, expected[i]) << i;
-    auto flat = flat_reader.Read(i, &flat_rng);
+    EXPECT_EQ((*rec)[0], expected[i]) << i;
+    auto flat = flat_reader.ReadBatch({i}, &flat_rng);
     ASSERT_TRUE(flat.ok()) << i;
-    EXPECT_EQ(*flat, expected[i]) << i;
+    EXPECT_EQ((*flat)[0], expected[i]) << i;
   }
   EXPECT_GT(reader.preprocess_bytes(), 0u);
   EXPECT_EQ(reader.sessions().num_sessions(), 1u);

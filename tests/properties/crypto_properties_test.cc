@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "pir/it_pir.h"
+#include "pir/recursive_pir.h"
 #include "smc/paillier.h"
 #include "smc/secure_sum.h"
 #include "smc/shamir.h"
@@ -229,12 +230,15 @@ TEST_P(PirSweep, FourServerCorrectForAllIndices) {
   for (auto& r : records) {
     for (auto& b : r) b = static_cast<uint8_t>(rng.NextU64());
   }
+  // The 4-server cube scheme: the recursive hypercube read at d = 2.
   std::vector<XorPirServer> servers;
   for (int i = 0; i < 4; ++i) servers.push_back(*XorPirServer::Create(records));
-  std::array<XorPirServer*, 4> ptrs{&servers[0], &servers[1], &servers[2],
-                                    &servers[3]};
+  std::vector<XorPirServer*> ptrs{&servers[0], &servers[1], &servers[2],
+                                  &servers[3]};
+  auto g = HypercubeGeometry::Balanced(n, 2);
+  ASSERT_TRUE(g.ok());
   for (size_t i = 0; i < n; ++i) {
-    auto got = FourServerCubePirRead(ptrs, i, &rng);
+    auto got = RecursivePirRead(ptrs, *g, i, &rng);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, records[i]) << "index " << i;
   }
